@@ -214,7 +214,8 @@ def find_design(graph: DataFlowGraph,
     Raises
     ------
     NoSolutionError
-        When no explored allocation meets both bounds.
+        When no explored allocation meets both bounds, or at once when
+        *area_bound* is below :func:`area_floor`.
     """
     graph.validate()
     check_area_model(area_model)
@@ -225,6 +226,11 @@ def find_design(graph: DataFlowGraph,
         raise ReproError("latency and area bounds must be positive")
 
     engine = engine if engine is not None else default_engine()
+    least_area = area_floor(graph, library)
+    if least_area > area_bound:  # certain before any trajectory runs
+        raise _no_solution(graph, library, latency_bound, area_bound,
+                           area_model, engine,
+                           f": its area floor is {least_area}")
     search = _Search(graph, library, latency_bound, area_bound, area_model,
                      method="find_design", engine=engine,
                      on_improvement=on_improvement)
@@ -253,15 +259,33 @@ def find_design(graph: DataFlowGraph,
             search.consider_batch(pending)
 
     if search.best is None:
-        achieved = search_achievements(graph, library, latency_bound,
-                                       area_model, engine=engine)
-        raise NoSolutionError(
-            f"no design of {graph.name!r} meets latency <= {latency_bound} "
-            f"and area <= {area_bound}",
-            latency=achieved.get("latency"),
-            area=achieved.get("area"),
-        )
+        raise _no_solution(graph, library, latency_bound, area_bound,
+                           area_model, engine)
     return search.best
+
+
+def area_floor(graph: DataFlowGraph, library: ResourceLibrary) -> int:
+    """A lower bound on the area of every design of *graph*.
+
+    Each resource type the graph uses needs at least one instance of
+    one of its versions, so no design is smaller than the sum of the
+    types' smallest version areas — under either area model.
+    """
+    return sum(library.smallest(rtype).area for rtype in graph.rtypes())
+
+
+def _no_solution(graph, library, latency_bound, area_bound, area_model,
+                 engine, reason="") -> NoSolutionError:
+    """The verdict for unmet bounds, with the best latency and area
+    reachable independently as diagnostics."""
+    achieved = search_achievements(graph, library, latency_bound,
+                                   area_model, engine=engine)
+    return NoSolutionError(
+        f"no design of {graph.name!r} meets latency <= {latency_bound} "
+        f"and area <= {area_bound}{reason}",
+        latency=achieved.get("latency"),
+        area=achieved.get("area"),
+    )
 
 
 def _trajectory(search: _Search, horizon: int, repair: str,

@@ -73,6 +73,6 @@ def run_table2(benchmark: str,
             *paper_row,
         )
     table.add_note(
-        "'-' marks bounds infeasible under sound instance-based area "
-        "accounting; see EXPERIMENTS.md for the paper-accounting run.")
+        f"'-' marks bounds infeasible under the {area_model!r} area "
+        "model.")
     return table

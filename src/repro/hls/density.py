@@ -13,10 +13,18 @@ distribution-graph idea, which the paper adopts in simplified form.
 Operations are placed most-constrained-first (smallest mobility) and
 all time frames are recomputed after every placement, so dependencies
 are honoured exactly rather than probabilistically.
+
+The spec is **exact-rational least density**: densities are sums of
+unit fractions ``1/w``, and candidate costs are compared exactly — here
+as integers over the lcm of the rtype's current windows — with strict
+``<``, so cost ties keep the earliest start.  This module is the
+readable oracle of that spec; :mod:`repro.hls.fastsched` implements it
+incrementally and must agree start for start.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Optional
 
 from repro.dfg.graph import DataFlowGraph
@@ -25,23 +33,27 @@ from repro.hls.schedule import Schedule, schedule_from_starts
 from repro.hls.timing import asap_latency, time_frames
 
 
-def _occupancy_probability(frames, delays, graph, rtype: str,
-                           fixed: Mapping[str, int]) -> Dict[int, float]:
-    """Distribution graph: step → expected number of busy *rtype* ops."""
-    density: Dict[int, float] = {}
+def _scaled_occupancy(frames, delays, graph, rtype: str,
+                      fixed: Mapping[str, int]) -> Dict[int, int]:
+    """Distribution graph: step → expected number of busy *rtype* ops,
+    times the lcm of the rtype's start-window sizes (an exact integer,
+    since each start of a window ``w`` carries probability ``1/w``)."""
+    windows = []
     for op in graph:
         if op.rtype != rtype:
             continue
-        delay = delays[op.op_id]
         if op.op_id in fixed:
             start_lo = start_hi = fixed[op.op_id]
-            weight = 1.0
         else:
             start_lo, start_hi = frames[op.op_id]
-            weight = 1.0 / (start_hi - start_lo + 1)
+        windows.append((start_lo, start_hi, delays[op.op_id]))
+    scale = math.lcm(*(hi - lo + 1 for lo, hi, _ in windows))
+    density: Dict[int, int] = {}
+    for start_lo, start_hi, delay in windows:
+        weight = scale // (start_hi - start_lo + 1)
         for start in range(start_lo, start_hi + 1):
             for step in range(start, start + delay):
-                density[step] = density.get(step, 0.0) + weight
+                density[step] = density.get(step, 0) + weight
     return density
 
 
@@ -90,20 +102,18 @@ def density_schedule(graph: DataFlowGraph,
             key=lambda o: (frames[o][1] - frames[o][0], order_index[o]),
         )
         op = graph.operation(op_id)
-        density = _occupancy_probability(frames, delays, graph, op.rtype, fixed)
+        density = _scaled_occupancy(frames, delays, graph, op.rtype, fixed)
         delay = delays[op_id]
         start_lo, start_hi = frames[op_id]
-        own_weight = 1.0 / (start_hi - start_lo + 1)
 
+        # cost: the density over the busy steps, this op's own spread
+        # included (it is part of the distribution graph)
         best_start = start_lo
         best_cost = None
         for start in range(start_lo, start_hi + 1):
-            cost = 0.0
-            for step in range(start, start + delay):
-                # Exclude this op's own probability mass: we are asking
-                # how crowded the partition is with *other* work.
-                cost += density.get(step, 0.0) - own_weight
-            if best_cost is None or cost < best_cost - 1e-12:
+            cost = sum(density.get(step, 0)
+                       for step in range(start, start + delay))
+            if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_start = start
         fixed[op_id] = best_start

@@ -24,31 +24,27 @@ speedups:
 ``incremental density``
     After each placement the scheduler updates only the affected
     descendants' ASAP values and ancestors' ALAP values (a rank-ordered
-    worklist over the compiled adjacency), and patches the per-(rtype,
-    step) occupancy distribution in place for exactly the operations
-    whose frames changed, instead of rebuilding it from scratch.
+    worklist over the compiled adjacency), and patches one per-rtype
+    occupancy row in place for exactly the operations whose frames
+    changed, instead of rebuilding the distribution from scratch.
 ``event-driven list scheduling``
     Ready sets are maintained with predecessor counters and per-version
     free-lane heaps; empty steps are skipped entirely.
 
-Equivalence with the reference schedulers is *exact*, not approximate:
+The spec is **exact-rational least density**, and the reference
+schedulers are its oracles; equivalence is exact, not approximate:
 
 * Time frames are integer fixpoints — the incremental updates compute
   the same numbers as a full recompute, provably.
-* The occupancy distribution is kept in **exact integer arithmetic**:
-  an operation with window size ``w`` contributes probability ``1/w``
-  per feasible start, so the per-step density is a sum of unit
-  fractions.  We store integer *coverage counts* per (rtype, window
-  size, step) — patching counts in place is lossless, unlike the
-  float adds/subtracts an incremental float distribution would need —
-  and compare candidate costs as exact rationals over the lcm of the
-  active window sizes (Python integers, no overflow).  The reference's
-  float comparison (``cost < best - 1e-12``) agrees with the exact one
-  whenever the smallest representable cost gap ``1/lcm`` exceeds the
-  tolerance plus the reference's own float accumulation noise; the
-  guards below (:data:`MAX_EXACT_LCM`, :data:`MAX_EXACT_WORK`) bound
-  both quantities with orders-of-magnitude margin and fall back to the
-  reference implementation — identical by construction — outside them.
+* An operation with start window ``w`` contributes probability ``1/w``
+  per feasible start, so every density is a sum of unit fractions.
+  Windows only tighten, so every window an operation can ever have
+  divides ``S = lcm(1..w0)``, ``w0`` the widest initial window.  Each
+  rtype keeps one occupancy row of Python integers holding ``S`` times
+  its density; an operation adds ``(S // w) * coverage`` to it.
+  Patching such a row is lossless and candidate costs compare as exact
+  integers at any window width — there is no float tolerance and no
+  fallback path.
 * Tie-breaks are replicated literally: most-constrained-first with
   topological-order ties for placement, earliest-start on cost ties,
   ``(-priority, op id)`` ready order for list scheduling.
@@ -61,7 +57,9 @@ bounds, and the golden paper values pin the end-to-end results.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import operator
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -70,16 +68,6 @@ from repro.dfg.compiled import CompiledGraph, compile_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import SchedulingError
 from repro.hls.schedule import Schedule, schedule_from_starts
-
-#: Fall back to the reference density scheduler when the lcm of the
-#: active window sizes exceeds this — beyond it, exact cost gaps could
-#: in principle dip below the reference's 1e-12 float tolerance.
-MAX_EXACT_LCM = 10 ** 10
-
-#: Fall back when ``n_ops * max_delay`` exceeds this — a (very
-#: conservative) bound keeping the reference's float accumulation noise
-#: far below the tolerance, so its decisions match exact arithmetic.
-MAX_EXACT_WORK = 10_000
 
 #: Entries kept in each compiled graph's delays-keyed base-timing memo.
 TIMING_MEMO_ENTRIES = 128
@@ -90,12 +78,9 @@ TIMING_MEMO_ENTRIES = 128
 #: enough placement work (results are identical either way).
 LOCKSTEP_MIN_WORK = 32
 
-#: The reference scheduler's cost tolerance, as an exact rational.
-_TOL_P, _TOL_Q = (1e-12).as_integer_ratio()
-
-
-class _PrecisionFallback(Exception):
-    """Internal: exact-arithmetic guard tripped; use the reference."""
+#: Masked-candidate sentinel of the lockstep solver; it also bounds
+#: every value its int64 occupancy arrays may hold.
+_INT64_SENTINEL = 2 ** 62
 
 
 class _BaseTiming:
@@ -329,13 +314,8 @@ def fast_density_schedule(graph: DataFlowGraph,
         raise SchedulingError(
             f"latency {latency} is below the critical path length {minimum}")
     d = [delays[op_id] for op_id in cg.op_ids]
-    if cg.n_ops * (max(d) if d else 0) > MAX_EXACT_WORK:
-        return _reference_density(graph, delays, latency)
-    try:
-        fixed = _solve_density(cg, d, timing, latency)
-    except _PrecisionFallback:
-        return _reference_density(graph, delays, latency)
-    return schedule_from_starts(graph, fixed, delays)
+    return schedule_from_starts(graph, _solve_density(cg, d, timing, latency),
+                                delays)
 
 
 def density_schedule_range(graph: DataFlowGraph,
@@ -348,50 +328,108 @@ def density_schedule_range(graph: DataFlowGraph,
             for latency in latencies}
 
 
-def _reference_density(graph, delays, latency) -> Schedule:
-    from repro.hls.density import density_schedule
+def _window_scale(timing: _BaseTiming, latency: int) -> int:
+    """``lcm(1..w0)`` for the widest initial start window ``w0``: frames
+    only tighten, so every window an operation can have divides it."""
+    widest = latency - min(a + t for a, t in zip(timing.asap, timing.tail))
+    return math.lcm(*range(1, widest + 2))
 
-    return density_schedule(graph, delays, latency)
+
+def _patch(row: List[int], lo: int, hi: int, d: int, unit: int) -> None:
+    """Add *unit* times the coverage of start window ``[lo, hi]`` and
+    delay *d* to *row*: step ``lo + k - 1`` is busy under
+    ``min(k, m, w + d - k)`` of the ``w`` starts, ``m = min(w, d)`` — a
+    ramp up, a plateau of ``m`` and a ramp down."""
+    if d == 0:
+        return
+    m = min(hi - lo + 1, d)
+    end = hi + d
+    for k in range(1, m):
+        row[lo + k - 1] += unit * k
+        row[end - k] += unit * k
+    flat = unit * m
+    row[lo + m - 1:end - m + 1] = [x + flat
+                                   for x in row[lo + m - 1:end - m + 1]]
+
+
+def _least_dense_start(row: List[int], lo: int, hi: int, d: int) -> int:
+    """Earliest start in ``[lo, hi]`` minimizing the occupancy summed
+    over the operation's busy steps, by one sliding window sum."""
+    if hi == lo or d == 0:
+        # a single candidate, or zero-delay costs are all zero
+        return lo
+    costs = list(itertools.accumulate(
+        map(operator.sub, row[lo + d:hi + d], row[lo:hi]),
+        initial=sum(row[lo:lo + d])))
+    return lo + costs.index(min(costs))  # first occurrence: earliest
+
+
+def _tighten(i: int, lo: List[int], hi: List[int], pinned: List[bool],
+             d: List[int], latency: int, preds, succs,
+             rank: List[int]) -> Dict[int, Tuple[int, int]]:
+    """Propagate the pin of operation *i* through its unpinned
+    relatives' frames in place and return ``{op: (old lo, old hi)}``
+    for every frame that moved.
+
+    Frames can only tighten: descendants' ASAP rises, ancestors' ALAP
+    falls.  Rank-ordered worklists make one recompute per affected node
+    exact.
+    """
+    changed: Dict[int, Tuple[int, int]] = {}
+    heap = [(rank[j], j) for j in succs[i]]
+    heapq.heapify(heap)
+    seen = set()
+    while heap:
+        _, j = heapq.heappop(heap)
+        if j in seen or pinned[j]:
+            continue
+        seen.add(j)
+        new_lo = 0
+        for p in preds[j]:
+            finish = lo[p] + d[p]
+            if finish > new_lo:
+                new_lo = finish
+        if new_lo != lo[j]:
+            changed.setdefault(j, (lo[j], hi[j]))
+            lo[j] = new_lo
+            for s in succs[j]:
+                heapq.heappush(heap, (rank[s], s))
+    heap = [(-rank[j], j) for j in preds[i]]
+    heapq.heapify(heap)
+    seen = set()
+    while heap:
+        _, j = heapq.heappop(heap)
+        if j in seen or pinned[j]:
+            continue
+        seen.add(j)
+        new_hi = latency
+        for s in succs[j]:
+            if hi[s] < new_hi:
+                new_hi = hi[s]
+        new_hi -= d[j]
+        if new_hi != hi[j]:
+            changed.setdefault(j, (lo[j], hi[j]))
+            hi[j] = new_hi
+            for p in preds[j]:
+                heapq.heappush(heap, (-rank[p], p))
+    return changed
 
 
 def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
                    latency: int) -> Dict[str, int]:
     """The placement loop; returns start steps in placement order."""
     n = cg.n_ops
-    preds, succs = cg.preds, cg.succs
     rank = cg.topo_rank.tolist()
     rcode = cg.rtype_codes.tolist()
     lo = list(timing.asap)
     hi = [latency - t for t in timing.tail]
     pinned = [False] * n
-
-    # occupancy coverage counts: rows[rtype][window][step] is the
-    # number of (operation, feasible start) pairs of that window size
-    # covering the step; density[step] = sum_w rows[w][step] / w.
-    # Each row keeps a cached prefix-sum (csums) so the candidate scan
-    # reads window sums in O(1) per start; a patch invalidates only the
-    # touched row's prefix sums.
-    n_rtypes = len(cg.rtype_names)
-    rows: List[Dict[int, np.ndarray]] = [{} for _ in range(n_rtypes)]
-    csums: List[Dict[int, np.ndarray]] = [{} for _ in range(n_rtypes)]
-    wcount: List[Dict[int, int]] = [{} for _ in range(n_rtypes)]
-
-    def patch(r: int, w: int, lo_: int, hi_: int, d_: int,
-              sign: int) -> None:
-        if d_ == 0:
-            return
-        row = rows[r].get(w)
-        if row is None:
-            row = rows[r][w] = np.zeros(latency, dtype=np.int64)
-        t = np.arange(lo_, hi_ + d_)
-        row[lo_:hi_ + d_] += sign * (np.minimum(hi_, t)
-                                     - np.maximum(lo_, t - d_ + 1) + 1)
-        csums[r].pop(w, None)
-
+    # rows[r][t] is scale times the density of rtype r at step t
+    scale = _window_scale(timing, latency)
+    rows = [[0] * latency for _ in cg.rtype_names]
     for i in range(n):
-        w = hi[i] - lo[i] + 1
-        patch(rcode[i], w, lo[i], hi[i], d[i], +1)
-        wcount[rcode[i]][w] = wcount[rcode[i]].get(w, 0) + 1
+        _patch(rows[rcode[i]], lo[i], hi[i], d[i],
+               scale // (hi[i] - lo[i] + 1))
 
     remaining = list(range(n))
     fixed: Dict[str, int] = {}
@@ -408,111 +446,22 @@ def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
         remaining[best_pos] = remaining[-1]
         remaining.pop()
 
-        lo_i, hi_i, d_i, r_i = lo[i], hi[i], d[i], rcode[i]
-        start = _least_dense_start(rows[r_i], csums[r_i], wcount[r_i],
-                                   lo_i, hi_i, d_i)
+        lo_i, hi_i, d_i, row = lo[i], hi[i], d[i], rows[rcode[i]]
+        start = _least_dense_start(row, lo_i, hi_i, d_i)
         fixed[cg.op_ids[i]] = start
-
-        w_old = hi_i - lo_i + 1
-        wcount[r_i][w_old] -= 1
-        patch(r_i, w_old, lo_i, hi_i, d_i, -1)
-        wcount[r_i][1] = wcount[r_i].get(1, 0) + 1
-        patch(r_i, 1, start, start, d_i, +1)
+        _patch(row, lo_i, hi_i, d_i, -(scale // (hi_i - lo_i + 1)))
+        _patch(row, start, start, d_i, scale)
         lo[i] = hi[i] = start
         pinned[i] = True
 
-        # frames can only tighten: descendants' ASAP rises, ancestors'
-        # ALAP falls.  Rank-ordered worklists make one recompute per
-        # affected node exact.
-        changed: Dict[int, Tuple[int, int]] = {}
-        heap = [(rank[j], j) for j in succs[i]]
-        heapq.heapify(heap)
-        seen = set()
-        while heap:
-            _, j = heapq.heappop(heap)
-            if j in seen or pinned[j]:
-                continue
-            seen.add(j)
-            new_lo = 0
-            for p in preds[j]:
-                finish = lo[p] + d[p]
-                if finish > new_lo:
-                    new_lo = finish
-            if new_lo != lo[j]:
-                changed.setdefault(j, (lo[j], hi[j]))
-                lo[j] = new_lo
-                for s in succs[j]:
-                    heapq.heappush(heap, (rank[s], s))
-        heap = [(-rank[j], j) for j in preds[i]]
-        heapq.heapify(heap)
-        seen = set()
-        while heap:
-            _, j = heapq.heappop(heap)
-            if j in seen or pinned[j]:
-                continue
-            seen.add(j)
-            new_hi = latency
-            for s in succs[j]:
-                if hi[s] < new_hi:
-                    new_hi = hi[s]
-            new_hi -= d[j]
-            if new_hi != hi[j]:
-                changed.setdefault(j, (lo[j], hi[j]))
-                hi[j] = new_hi
-                for p in preds[j]:
-                    heapq.heappush(heap, (-rank[p], p))
-
-        for j, (old_lo, old_hi) in changed.items():
-            r_j = rcode[j]
-            w_was = old_hi - old_lo + 1
-            w_now = hi[j] - lo[j] + 1
-            wcount[r_j][w_was] -= 1
-            patch(r_j, w_was, old_lo, old_hi, d[j], -1)
-            wcount[r_j][w_now] = wcount[r_j].get(w_now, 0) + 1
-            patch(r_j, w_now, lo[j], hi[j], d[j], +1)
+        moved = _tighten(i, lo, hi, pinned, d, latency, cg.preds, cg.succs,
+                         rank)
+        for j, (old_lo, old_hi) in moved.items():
+            row = rows[rcode[j]]
+            _patch(row, old_lo, old_hi, d[j],
+                   -(scale // (old_hi - old_lo + 1)))
+            _patch(row, lo[j], hi[j], d[j], scale // (hi[j] - lo[j] + 1))
     return fixed
-
-
-def _least_dense_start(rtype_rows: Dict[int, np.ndarray],
-                       rtype_csums: Dict[int, np.ndarray],
-                       rtype_wcount: Dict[int, int],
-                       lo: int, hi: int, d: int) -> int:
-    """Earliest start minimizing the exact occupancy sum over the
-    operation's busy window (the reference's cost less its constant
-    own-weight term, which cancels in every comparison).
-
-    Window sums are read off cached per-(rtype, window) prefix sums, so
-    one candidate scan costs O(windows + candidates) instead of
-    O(windows * (candidates + delay)).
-    """
-    if hi == lo or d == 0:
-        # a single candidate, or zero-delay costs are all zero: the
-        # reference keeps the earliest start either way
-        return lo
-    # zero-delay operations register a window class but never write a
-    # row (they occupy no steps); their contribution is identically
-    # zero, so dropping them rescales every cost and the tolerance
-    # threshold by the same factor and no comparison changes
-    active = [w for w, count in rtype_wcount.items()
-              if count > 0 and w in rtype_rows]
-    scale = math.lcm(*active)
-    if scale > MAX_EXACT_LCM:
-        raise _PrecisionFallback
-    k_count = hi - lo + 1
-    nums = np.zeros(k_count, dtype=np.int64)
-    for w in active:
-        cs = rtype_csums.get(w)
-        if cs is None:
-            cs = rtype_csums[w] = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(rtype_rows[w])))
-        nums += (scale // w) * (cs[lo + d:lo + d + k_count]
-                                - cs[lo:lo + k_count])
-    # Costs are integer multiples of 1/scale, and scale <= MAX_EXACT_LCM
-    # keeps the reference tolerance (1e-12 * scale < 1) strictly below
-    # the minimal integer cost gap — so "improves by more than the
-    # tolerance" is exactly "strictly smaller", and the earliest strict
-    # minimum is NumPy's first-occurrence argmin.
-    return lo + int(np.argmin(nums))
 
 
 # ----------------------------------------------------------------------
@@ -728,15 +677,13 @@ def batched_density_schedules(graph: DataFlowGraph,
     the placement loops of all requests advanced in lockstep.
 
     Requests are deduplicated on (delays, latency); every distinct
-    column whose exact-arithmetic guards hold joins one vectorized
-    solver (:func:`_solve_density_lockstep`) where each of the ``n``
-    placement rounds runs selection, candidate scan, re-patching and
-    the frame recompute across all columns at once.  Columns outside
-    the guards — and hence possibly subject to the per-item path's own
-    reference fallback — are routed through
-    :func:`fast_density_schedule` unchanged, so results and raised
-    errors (first failing request wins) are identical to the
-    sequential loop by construction.
+    column whose scaled occupancy fits the int64 arrays joins one
+    vectorized solver (:func:`_solve_density_lockstep`) where each of
+    the ``n`` placement rounds runs selection, candidate scan,
+    re-patching and the frame recompute across all columns at once.
+    The other columns — and small batches — run the per-item solver,
+    so results and raised errors (first failing request wins) are
+    identical to the sequential loop by construction.
     """
     requests = list(requests)
     if not requests:
@@ -768,19 +715,14 @@ def batched_density_schedules(graph: DataFlowGraph,
             order.append((delays, latency, timing))
         assign.append(col)
 
-    # a column joins the lockstep solver only when the per-item path is
-    # guaranteed to stay on its exact integer arithmetic for the whole
-    # solve: windows can only tighten, so every window ever active is
-    # <= the largest initial window and lcm(1..w0max) bounds every
-    # active-window lcm the per-item scan could form
+    # a column's scaled row sums to scale * (its rtype's total delay),
+    # which bounds every prefix sum the lockstep solver forms; columns
+    # that could reach the sentinel stay on Python integers
     lockstep: List[int] = []
     solo: List[int] = []
     for col, (delays, latency, timing) in enumerate(order):
-        d = [delays[op_id] for op_id in cg.op_ids]
-        w0max = max(latency - t - a for t, a in zip(timing.tail,
-                                                    timing.asap)) + 1
-        if (cg.n_ops * (max(d) if d else 0) <= MAX_EXACT_WORK
-                and math.lcm(*range(1, w0max + 1)) <= MAX_EXACT_LCM):
+        work = max(sum(delays[op_id] for op_id in cg.op_ids), 1)
+        if _window_scale(timing, latency) * work < _INT64_SENTINEL:
             lockstep.append(col)
         else:
             solo.append(col)
@@ -813,21 +755,16 @@ def _solve_density_lockstep(cg: CompiledGraph,
     * **Selection.**  The per-item most-constrained-first choice
       ``min((hi - lo, rank))`` equals ``argmin((hi - lo) * n + rank)``
       because ranks are the integers ``0..n-1`` (injective encoding).
-    * **Cost scale.**  Each column uses the fixed scale
-      ``lcm(1..w0max)``, a positive multiple of every active-window
-      lcm the per-item scan could use (windows only tighten), so every
-      candidate cost here is the per-item exact cost times a positive
-      constant — the argmin and all comparisons are unchanged.  The
-      caller admits a column only when that scale is ``<=``
-      :data:`MAX_EXACT_LCM` ``< 1/tolerance``, where the reference's
-      tolerance comparison degenerates to strict integer ``<`` and the
-      earliest strict minimum is NumPy's first-occurrence argmin.
+    * **Cost scale.**  Each column uses the per-item scale
+      ``lcm(1..w0max)`` and the same integer costs; the caller admits a
+      column only when they stay below :data:`_INT64_SENTINEL`, so the
+      int64 arithmetic is exact and the earliest strict minimum is
+      NumPy's first-occurrence argmin.
     * **Frames.**  After each pin, every column's time frames tighten
-      by the *same* rank-ordered worklist recursion the per-item solver
-      runs (the code is a per-column copy of it), so the frames — and
-      therefore the occupancy patches — agree exactly; only the
-      selection, candidate scan and occupancy re-patching are
-      vectorized across columns.
+      by the same rank-ordered worklist recursion (:func:`_tighten`)
+      the per-item solver runs, so the frames — and therefore the
+      occupancy patches — agree exactly; only the selection, candidate
+      scan and occupancy re-patching are vectorized across columns.
 
     Returns one placement-ordered ``{op_id: start}`` dict per column.
     """
@@ -843,9 +780,8 @@ def _solve_density_lockstep(cg: CompiledGraph,
     rank = cg.topo_rank.astype(np.int64)
     rcode = cg.rtype_codes.astype(np.int64)
     lat_max = int(lat.max())
-    scale = np.array(
-        [math.lcm(*range(1, int((hi[c] - lo[c]).max()) + 2))
-         for c in range(n_batch)], dtype=np.int64)
+    scale = np.array([_window_scale(t, latency) for _, latency, t in cols],
+                     dtype=np.int64)
 
     # merged scaled occupancy: scaled[c, r, t] = scale[c] * density of
     # rtype r at step t (an exact integer by choice of scale)
@@ -878,7 +814,7 @@ def _solve_density_lockstep(cg: CompiledGraph,
     pin_py = [[False] * n for _ in range(n_batch)]
 
     placements: List[List[Tuple[int, int]]] = [[] for _ in range(n_batch)]
-    big = np.int64(2) ** 62
+    big = np.int64(_INT64_SENTINEL)
 
     # drain forced placements eagerly: a width-1 window pins at its
     # only feasible start, which moves no frame (the worklist recursion
@@ -971,43 +907,8 @@ def _solve_density_lockstep(cg: CompiledGraph,
             moved.append((c, i, lo_c[i], hi_c[i], s, s))
             lo_c[i] = hi_c[i] = s
             pin_c[i] = True
-            changed: Dict[int, Tuple[int, int]] = {}
-            heap = [(rank_py[j], j) for j in succs[i]]
-            heapq.heapify(heap)
-            seen = set()
-            while heap:
-                _, j = heapq.heappop(heap)
-                if j in seen or pin_c[j]:
-                    continue
-                seen.add(j)
-                new_lo = 0
-                for p in preds[j]:
-                    finish = lo_c[p] + d_c[p]
-                    if finish > new_lo:
-                        new_lo = finish
-                if new_lo != lo_c[j]:
-                    changed.setdefault(j, (lo_c[j], hi_c[j]))
-                    lo_c[j] = new_lo
-                    for t in succs[j]:
-                        heapq.heappush(heap, (rank_py[t], t))
-            heap = [(-rank_py[j], j) for j in preds[i]]
-            heapq.heapify(heap)
-            seen = set()
-            while heap:
-                _, j = heapq.heappop(heap)
-                if j in seen or pin_c[j]:
-                    continue
-                seen.add(j)
-                new_hi = lat_py[c]
-                for t in succs[j]:
-                    if hi_c[t] < new_hi:
-                        new_hi = hi_c[t]
-                new_hi -= d_c[j]
-                if new_hi != hi_c[j]:
-                    changed.setdefault(j, (lo_c[j], hi_c[j]))
-                    hi_c[j] = new_hi
-                    for p in preds[j]:
-                        heapq.heappush(heap, (-rank_py[p], p))
+            changed = _tighten(i, lo_c, hi_c, pin_c, d_c, lat_py[c], preds,
+                               succs, rank_py)
             for j, (old_lo, old_hi) in changed.items():
                 moved.append((c, j, old_lo, old_hi, lo_c[j], hi_c[j]))
                 # a cascade that squeezes a window to width 1 forces

@@ -160,6 +160,30 @@ class TestBatchedDensitySchedules:
                 assert got.starts == density_schedule(
                     graph, delays, latency).starts, (seed, latency)
 
+    def test_wide_columns_run_the_exact_per_item_solver(self,
+                                                        monkeypatch):
+        """Only columns whose scaled occupancy fits the int64 arrays
+        join the lockstep solver; the rest run per item, identically."""
+        from repro.hls import fastsched
+
+        graph = fir16()
+        delays = random_delays(graph, 3)
+        critical = base_timing(graph, delays).critical
+        requests = [(delays, critical + slack) for slack in (0, 1, 2, 60)]
+        admitted = []
+        lockstep = fastsched._solve_density_lockstep
+
+        def spy(cg, cols):
+            admitted.extend(latency for _, latency, _ in cols)
+            return lockstep(cg, cols)
+
+        monkeypatch.setattr(fastsched, "_solve_density_lockstep", spy)
+        batched = batched_density_schedules(graph, requests)
+        assert admitted == [critical, critical + 1, critical + 2]
+        for (delays, latency), got in zip(requests, batched):
+            assert got.starts == density_schedule(
+                graph, delays, latency).starts
+
     def test_infeasible_latency_message_parity(self):
         graph = fir16()
         delays = random_delays(graph, 4)

@@ -1,12 +1,15 @@
 """Unit and reproduction tests for repro.core.find_design."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import diffeq, ewf, fir16
-from repro.dfg import DFGBuilder
+from repro.dfg import DFGBuilder, random_dag
 from repro.errors import NoSolutionError, ReproError
+from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS
 from repro.library import paper_library
-from repro.core import find_design
+from repro.core import EvaluationEngine, find_design, min_latency
+from repro.core.find_design import area_floor, uniform_allocations
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +111,26 @@ class TestInfeasibility:
         with pytest.raises(NoSolutionError) as exc_info:
             find_design(fir16(), lib, 8, 100)
         assert exc_info.value.latency == 9
+
+    def test_area_floor_verdict_keeps_the_diagnostics(self, lib):
+        with pytest.raises(NoSolutionError, match="area floor is 3") \
+                as exc_info:
+            find_design(fir16(), lib, 100, 2)
+        assert (exc_info.value.latency, exc_info.value.area) == (9, 3)
+
+    @pytest.mark.parametrize("area_model", [AREA_INSTANCES, AREA_VERSIONS])
+    @given(st.integers(2, 12), st.integers(0, 1_000), st.integers(0, 4))
+    @settings(max_examples=15, deadline=None)
+    def test_area_floor_is_sound(self, area_model, size, seed, slack):
+        lib = paper_library()
+        graph = random_dag(size, seed=seed)
+        engine = EvaluationEngine(area_model=area_model)
+        floor = area_floor(graph, lib)
+        for allocation in uniform_allocations(graph, lib):
+            bound = min_latency(graph, allocation) + slack
+            evaluation = engine.evaluate(graph, allocation, bound)
+            assert evaluation is not None
+            assert evaluation.area >= floor
 
     def test_bad_bounds_rejected(self, lib):
         with pytest.raises(ReproError):

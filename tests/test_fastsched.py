@@ -175,17 +175,47 @@ class TestDensityEquivalence:
         assert fast_density_schedule(graph, delays, latency).starts == \
             density_schedule(graph, delays, latency).starts
 
-    def test_precision_guard_falls_back_to_reference(self, monkeypatch):
+    def test_wide_windows_never_call_the_oracle(self, monkeypatch):
+        """Exact integer costs hold at any window width: the fast path
+        has no fallback to the reference scheduler."""
+        from repro.hls import density
+
         graph = random_dag(20, seed=9)
         delays = random_delays(graph, 9)
-        latency = asap_latency(graph, delays) + 3
+        latency = asap_latency(graph, delays) + 60
         expected = density_schedule(graph, delays, latency)
-        monkeypatch.setattr(fastsched, "MAX_EXACT_LCM", 1)
-        assert fast_density_schedule(graph, delays, latency).starts == \
-            expected.starts
-        monkeypatch.setattr(fastsched, "MAX_EXACT_WORK", 1)
-        assert fast_density_schedule(graph, delays, latency).starts == \
-            expected.starts
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return expected
+
+        monkeypatch.setattr(density, "density_schedule", spy)
+        got = fast_density_schedule(graph, delays, latency)
+        batched = fastsched.batched_density_schedules(
+            graph, [(delays, latency), (delays, latency - 30)])
+        assert calls == []
+        assert got.starts == expected.starts
+        assert batched[0].starts == expected.starts
+
+    @given(st.tuples(st.integers(1, 14), st.integers(0, 5_000)),
+           st.integers(0, 60), st.integers(0, 99))
+    @settings(max_examples=25, deadline=None)
+    def test_fast_oracle_and_lockstep_agree_at_any_slack(self, params,
+                                                          slack, seed):
+        graph = build(params)
+        requests = []
+        for k in range(3):
+            delays = random_delays(graph, seed + k)
+            latency = asap_latency(graph, delays) + slack * k // 2
+            requests.append((delays, latency))
+        batched = fastsched.batched_density_schedules(graph, requests)
+        for (delays, latency), got in zip(requests, batched):
+            oracle = density_schedule(graph, delays, latency)
+            assert fast_density_schedule(graph, delays, latency).starts \
+                == oracle.starts
+            assert got.starts == oracle.starts
+            assert list(got.starts) == list(oracle.starts)
 
     def test_schedule_range_shares_base_timing(self):
         graph = random_dag(18, seed=4)

@@ -435,7 +435,8 @@ class TestLiveMembership:
             for index, key in enumerate(keys):
                 client.put("density", key, index)
             ring.servers[0].stop()
-            client.get("density", keys[0])  # trips the breaker
+            # a key member 0 owns trips its breaker
+            client.get("density", _primary_keys(ring.ring(), 0, per=1)[0])
             assert client.dead_shards == (ring.addresses[0],)
 
             ring.respawn(0)  # cold and map-less
