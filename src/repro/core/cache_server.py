@@ -126,6 +126,7 @@ from repro.core import cache_store, wire
 from repro.core.design import DesignResult
 from repro.core.engine import (
     EvaluationEngine,
+    EvictionCounter,
     LRUCache,
     RemoteCacheBackend,
 )
@@ -984,10 +985,12 @@ class CacheServer:
         self.shard_index = shard_index
         self.ring_epoch = int(ring_epoch)
         self.stats = ServerStats()
+        # evictions are counted under self._lock (all layer ops are)
+        on_evict = EvictionCounter(self.stats)
         self._layers: Dict[str, LRUCache] = {
             name: LRUCache(
                 int(overrides.get(name, max(1, int(max_entries * share)))),
-                self._note_eviction)
+                on_evict)
             for name, share in EvaluationEngine.LAYER_SHARES.items()
         }
         self._lock = threading.Lock()
@@ -1019,9 +1022,6 @@ class CacheServer:
         self._window_deadline: Optional[float] = None
         self._window_inflight = 0
         self._window_waits: deque = deque(maxlen=WINDOW_WAIT_SAMPLES)
-
-    def _note_eviction(self) -> None:
-        self.stats.evictions += 1  # under self._lock (all layer ops are)
 
     # -- ring membership -----------------------------------------------
     @property

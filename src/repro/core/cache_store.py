@@ -50,8 +50,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import CacheError
 from repro.core.engine import EvaluationEngine
 
-#: Bumped whenever the layer contents or key shapes change shape.
-SNAPSHOT_VERSION = 1
+#: Bumped whenever the layer contents or key shapes change shape, or
+#: their pickles do (v2: interned resource versions pickle through
+#: their constructor, so v1 files cannot be unpickled any more).
+SNAPSHOT_VERSION = 2
 
 MAGIC = b"REPROCACHE"
 

@@ -50,7 +50,8 @@ insertion order), not object identity, so rebuilding a benchmark graph
 — as every experiment driver does — still hits the cache.  Allocation
 signatures embed the full :class:`~repro.library.version.ResourceVersion`
 (not just its name), so same-named versions from different libraries
-never collide.
+never collide.  Versions are interned and hash by identity, so those
+keys hash at C speed however many versions they hold.
 
 Every layer is an independent :class:`LRUCache`: filling one layer
 evicts only that layer's least-recently-used entries, so a probe-heavy
@@ -332,6 +333,24 @@ class LRUCache:
         server (used right after a :meth:`prefetch` of the same keys,
         when a second remote miss would be a wasted round trip)."""
         return self.get(key, default)
+
+
+class EvictionCounter:
+    """An :class:`LRUCache` ``on_evict`` hook bumping ``stats.evictions``.
+
+    It holds only the stats object: a bound method of the cache's owner
+    would close a reference cycle (owner → layer → method → owner), so
+    every dropped engine, with all its cached schedules, would wait for
+    a full garbage collection instead of being freed at once.
+    """
+
+    __slots__ = ("stats",)
+
+    def __init__(self, stats):
+        self.stats = stats
+
+    def __call__(self) -> None:
+        self.stats.evictions += 1
 
 
 class _SchedulePoint:
@@ -842,8 +861,10 @@ class EvaluationEngine:
         self._graph_keys: Dict[tuple, int] = {}
         self._graph_contents: Dict[int, tuple] = {}  # inverse of the above
         self._backend: Optional[RemoteCacheBackend] = None
+        # stats is reset in place, never replaced, so the hook stays valid
+        on_evict = EvictionCounter(self.stats)
         self._layers: Dict[str, LRUCache] = {
-            name: LRUCache(capacity, self._note_eviction)
+            name: LRUCache(capacity, on_evict)
             for name, capacity in self.layer_capacities.items()
         }
         self._bind_layers(self._layers)
@@ -862,9 +883,6 @@ class EvaluationEngine:
     def _bind_layers(self, views: Mapping[str, object]) -> None:
         for attr, name in self._LAYER_ATTRS.items():
             setattr(self, attr, views[name])
-
-    def _note_eviction(self) -> None:
-        self.stats.evictions += 1
 
     # ------------------------------------------------------------------
     # live cache service attachment

@@ -109,12 +109,18 @@ def max_parallelism(graph: DataFlowGraph,
 
 def is_connected(graph: DataFlowGraph) -> bool:
     """True when the undirected skeleton of the DFG is one component."""
-    import networkx as nx
-
-    g = graph.nx_graph()
-    if g.number_of_nodes() == 0:
+    ids = graph.op_ids()
+    if not ids:
         return False
-    return nx.is_weakly_connected(g)
+    seen = {ids[0]}
+    stack = [ids[0]]
+    while stack:
+        node = stack.pop()
+        for nbr in graph.successors(node) + graph.predecessors(node):
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return len(seen) == len(ids)
 
 
 def summarize(graph: DataFlowGraph) -> Dict[str, object]:

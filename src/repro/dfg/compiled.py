@@ -1,10 +1,8 @@
 """Compiled, integer-indexed view of a data-flow graph.
 
-Profiling cold synthesis runs showed the single hottest operation in
-the whole flow was not arithmetic but *graph bookkeeping*: every
-``time_frames`` call re-derived the topological order through
-networkx's lexicographical sort, and every scheduler pass walked
-string-keyed adjacency dicts.  A :class:`CompiledGraph` pays those
+Scheduler passes that walk string-keyed adjacency dicts and re-derive
+the topological order on every call spend their time on *graph
+bookkeeping*, not arithmetic.  A :class:`CompiledGraph` pays those
 costs exactly once per graph: the node set is flattened into dense
 integer indices (insertion order), adjacency into CSR arrays, the
 deterministic topological order into a permutation array, and resource
@@ -20,19 +18,20 @@ including the thousands a single sweep performs — shares one compiled
 form.  The compiled form is faithful: :meth:`CompiledGraph.to_graph`
 reconstructs an equivalent :class:`~repro.dfg.graph.DataFlowGraph`
 (same ids, kinds, rtypes, labels and edge order), and the topological
-order is *identical* to :meth:`DataFlowGraph.topological_order`
-(smallest insertion index among ready nodes), so array-based and
-reference algorithms traverse nodes in the same sequence.
+order comes from the same sort as
+:meth:`DataFlowGraph.topological_order` (smallest insertion index
+among ready nodes, :func:`repro.dfg.graph.lexicographic_topo`), so
+array-based and reference algorithms traverse nodes in the same
+sequence.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dfg.graph import DataFlowGraph
+from repro.dfg.graph import DataFlowGraph, lexicographic_topo
 from repro.dfg.node import Operation
 from repro.errors import DFGError
 
@@ -102,11 +101,12 @@ class CompiledGraph:
         self.pred_ptr, self.pred_idx = _to_csr(preds)
         self.succ_ptr, self.succ_idx = _to_csr(succs)
 
-        self.topo = _lexicographic_topo(n, self.preds, self.succs, self.name)
+        topo_list = lexicographic_topo([len(p) for p in preds], succs,
+                                       self.name)
+        self.topo = np.asarray(topo_list, dtype=np.int32)
         self.topo_rank = np.empty(n, dtype=np.int32)
         self.topo_rank[self.topo] = np.arange(n, dtype=np.int32)
 
-        topo_list = self.topo.tolist()
         self.fwd_levels = _levels(n, self.preds, topo_list)
         self.rev_levels = _levels(n, self.succs, topo_list[::-1])
         self.source_idx = np.fromiter(
@@ -168,27 +168,6 @@ def _to_csr(adjacency: List[List[int]]
     idx = np.fromiter((j for neighbours in adjacency for j in neighbours),
                       dtype=np.int32, count=int(ptr[-1]))
     return ptr, idx
-
-
-def _lexicographic_topo(n: int, preds, succs, name: str) -> np.ndarray:
-    """Kahn's algorithm taking the smallest insertion index among ready
-    nodes — exactly :meth:`DataFlowGraph.topological_order`."""
-    indegree = [len(p) for p in preds]
-    ready = [i for i in range(n) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order = np.empty(n, dtype=np.int32)
-    filled = 0
-    while ready:
-        node = heapq.heappop(ready)
-        order[filled] = node
-        filled += 1
-        for succ in succs[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-    if filled != n:
-        raise DFGError(f"{name!r} contains a cycle")
-    return order
 
 
 def _levels(n: int, preds, order

@@ -9,16 +9,44 @@ scheduling and synthesis routine in this library, mirroring the paper's
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
+import heapq
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dfg.node import Operation
 from repro.errors import DFGError
 
 
+def lexicographic_topo(indegree: List[int],
+                       succs: Sequence[Sequence[int]],
+                       name: str) -> List[int]:
+    """Kahn's algorithm over integer node ids, taking the smallest id
+    among ready nodes — the one topological sort behind both
+    :meth:`DataFlowGraph.topological_order` and
+    :class:`~repro.dfg.compiled.CompiledGraph`.  Consumes *indegree*.
+    """
+    ready = [i for i, degree in enumerate(indegree) if degree == 0]
+    heapq.heapify(ready)
+    order: List[int] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for succ in succs[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(ready, succ)
+    if len(order) != len(indegree):
+        raise DFGError(f"{name!r} contains a cycle")
+    return order
+
+
 class DataFlowGraph:
-    """A directed acyclic graph of operations with data-dependency edges."""
+    """A directed acyclic graph of operations with data-dependency edges.
+
+    Adjacency is two insertion-ordered dict-of-dicts (``_succ`` and
+    ``_pred``, values unused), so :meth:`edges` lists producers in
+    insertion order and each producer's consumers in edge insertion
+    order — the order the engine's content keys are built from.
+    """
 
     #: transient per-object caches (e.g. the compiled-array form
     #: attached by :mod:`repro.dfg.compiled`) — never pickled: workers
@@ -28,8 +56,9 @@ class DataFlowGraph:
 
     def __init__(self, name: str = "dfg"):
         self.name = name
-        self._g = nx.DiGraph()
         self._ops: Dict[str, Operation] = {}
+        self._succ: Dict[str, Dict[str, None]] = {}
+        self._pred: Dict[str, Dict[str, None]] = {}
         self._n_edges = 0
 
     def __getstate__(self):
@@ -41,7 +70,7 @@ class DataFlowGraph:
     def __setstate__(self, state):
         self.__dict__.update(state)
         if "_n_edges" not in state:  # graphs pickled by older versions
-            self._n_edges = self._g.number_of_edges()
+            self._n_edges = sum(map(len, self._succ.values()))
 
     # ------------------------------------------------------------------
     # construction
@@ -51,7 +80,8 @@ class DataFlowGraph:
         if op.op_id in self._ops:
             raise DFGError(f"duplicate operation id {op.op_id!r} in {self.name!r}")
         self._ops[op.op_id] = op
-        self._g.add_node(op.op_id)
+        self._succ[op.op_id] = {}
+        self._pred[op.op_id] = {}
         return op
 
     def add(self, op_id: str, kind: str, deps: Iterable[str] = (),
@@ -72,15 +102,34 @@ class DataFlowGraph:
                 )
         if producer == consumer:
             raise DFGError(f"self-dependency on {producer!r}")
-        known = self._g.has_edge(producer, consumer)
-        self._g.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(producer, consumer)
+        if (consumer not in self._succ[producer]
+                and self._reaches(consumer, producer)):
             raise DFGError(
                 f"edge ({producer!r} -> {consumer!r}) would create a cycle"
             )
-        if not known:
+        self._link(producer, consumer)
+
+    def _reaches(self, start: str, target: str) -> bool:
+        """True when *target* is reachable from *start* along edges."""
+        succ = self._succ
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt == target:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    def _link(self, producer: str, consumer: str) -> None:
+        """Record an edge already known to keep the graph acyclic."""
+        successors = self._succ[producer]
+        if consumer not in successors:
             self._n_edges += 1
+        successors[consumer] = None
+        self._pred[consumer][producer] = None
 
     # ------------------------------------------------------------------
     # queries
@@ -111,7 +160,8 @@ class DataFlowGraph:
 
     def edges(self) -> List[Tuple[str, str]]:
         """All dependency edges as (producer, consumer) pairs."""
-        return list(self._g.edges())
+        return [(u, v) for u, consumers in self._succ.items()
+                for v in consumers]
 
     def edge_count(self) -> int:
         """Number of dependency edges (O(1), unlike ``len(edges())``)."""
@@ -120,25 +170,29 @@ class DataFlowGraph:
     def predecessors(self, op_id: str) -> List[str]:
         """Ids of operations whose results *op_id* consumes."""
         self.operation(op_id)
-        return list(self._g.predecessors(op_id))
+        return list(self._pred[op_id])
 
     def successors(self, op_id: str) -> List[str]:
         """Ids of operations consuming *op_id*'s result."""
         self.operation(op_id)
-        return list(self._g.successors(op_id))
+        return list(self._succ[op_id])
 
     def sources(self) -> List[str]:
         """Operations with no predecessors (read primary inputs only)."""
-        return [n for n in self._ops if self._g.in_degree(n) == 0]
+        return [n for n, preds in self._pred.items() if not preds]
 
     def sinks(self) -> List[str]:
         """Operations with no successors (produce primary outputs)."""
-        return [n for n in self._ops if self._g.out_degree(n) == 0]
+        return [n for n, succs in self._succ.items() if not succs]
 
     def topological_order(self) -> List[str]:
-        """A topological ordering of operation ids (stable for ties)."""
-        return list(nx.lexicographical_topological_sort(
-            self._g, key=lambda n: list(self._ops).index(n)))
+        """A topological ordering of operation ids: among ready
+        operations, the earliest inserted comes first."""
+        ids = list(self._ops)
+        index = {op_id: i for i, op_id in enumerate(ids)}
+        succs = [[index[v] for v in self._succ[u]] for u in ids]
+        indegree = [len(self._pred[u]) for u in ids]
+        return [ids[i] for i in lexicographic_topo(indegree, succs, self.name)]
 
     def counts_by_rtype(self) -> Dict[str, int]:
         """Number of operations per resource type."""
@@ -151,9 +205,16 @@ class DataFlowGraph:
         """Sorted list of resource types present in the graph."""
         return sorted(self.counts_by_rtype())
 
-    def nx_graph(self) -> nx.DiGraph:
-        """A copy of the underlying :class:`networkx.DiGraph`."""
-        return self._g.copy()
+    def nx_graph(self):
+        """Export as a :class:`networkx.DiGraph` (nodes and edges in
+        insertion order).  networkx is imported here, never at runtime
+        otherwise."""
+        import networkx as nx
+
+        g = nx.DiGraph()
+        g.add_nodes_from(self._ops)
+        g.add_edges_from(self.edges())
+        return g
 
     # ------------------------------------------------------------------
     # manipulation
@@ -163,8 +224,8 @@ class DataFlowGraph:
         clone = DataFlowGraph(name or self.name)
         for op in self._ops.values():
             clone.add_operation(op)
-        for u, v in self._g.edges():
-            clone.add_edge(u, v)
+        for u, v in self.edges():
+            clone._link(u, v)
         return clone
 
     def relabeled(self, prefix: str, name: Optional[str] = None) -> "DataFlowGraph":
@@ -173,8 +234,8 @@ class DataFlowGraph:
         for op in self._ops.values():
             clone.add_operation(Operation(
                 prefix + op.op_id, op.kind, op.rtype, op.label))
-        for u, v in self._g.edges():
-            clone.add_edge(prefix + u, prefix + v)
+        for u, v in self.edges():
+            clone._link(prefix + u, prefix + v)
         return clone
 
     def merged_with(self, other: "DataFlowGraph",
@@ -183,8 +244,8 @@ class DataFlowGraph:
         merged = self.copy(name or f"{self.name}+{other.name}")
         for op in other.operations():
             merged.add_operation(op)
-        for u, v in other.edges():
-            merged.add_edge(u, v)
+        for u, v in other.edges():  # a disjoint union of DAGs is a DAG
+            merged._link(u, v)
         return merged
 
     # ------------------------------------------------------------------
@@ -194,19 +255,14 @@ class DataFlowGraph:
         """Raise :class:`DFGError` if the graph is not a well-formed DAG."""
         if not self._ops:
             raise DFGError(f"{self.name!r} has no operations")
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise DFGError(f"{self.name!r} contains a cycle")
-        for node in self._g.nodes():
-            if node not in self._ops:
-                raise DFGError(f"{self.name!r}: edge endpoint {node!r} has no "
-                               "operation record")
+        self.topological_order()  # raises when the graph has a cycle
 
     def to_dict(self) -> dict:
         """Serialize to a JSON-friendly dictionary."""
         return {
             "name": self.name,
             "operations": [op.to_dict() for op in self._ops.values()],
-            "edges": [list(edge) for edge in self._g.edges()],
+            "edges": [list(edge) for edge in self.edges()],
         }
 
     @classmethod
@@ -224,4 +280,4 @@ class DataFlowGraph:
 
     def __repr__(self) -> str:
         return (f"DataFlowGraph(name={self.name!r}, ops={len(self._ops)}, "
-                f"edges={self._g.number_of_edges()})")
+                f"edges={self._n_edges})")

@@ -9,15 +9,30 @@ version per operation, trading reliability against area and delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Dict, Mapping
 
 from repro.errors import LibraryError
 
 
-@dataclass(frozen=True, order=True)
+#: Every version ever constructed, keyed by its field values: equal
+#: versions are one object, so hashing is by identity and equality
+#: short-circuits.  Libraries hold a handful of versions, so the table
+#: stays small.
+_INTERNED: Dict[tuple, "ResourceVersion"] = {}
+
+
+@dataclass(frozen=True, order=True, init=False)
 class ResourceVersion:
     """One implementation of a resource type.
+
+    Versions are interned: constructing one with the field values of a
+    version built before returns that very object (pickle, copy and
+    :func:`dataclasses.replace` go through the constructor too).  The
+    hash is therefore the C-level identity hash — versions sit in
+    every engine memo key, so a Python-level ``__hash__`` would run
+    hundreds of thousands of times per cache export — while ``==``
+    keeps the dataclass value comparison.
 
     Attributes
     ----------
@@ -43,43 +58,38 @@ class ResourceVersion:
     reliability: float
     description: str = ""
 
-    def __post_init__(self):
-        if not self.rtype:
+    def __new__(cls, rtype: str, name: str, area: int, delay: int,
+                reliability: float, description: str = ""):
+        if not rtype:
             raise LibraryError("version rtype must be non-empty")
-        if not self.name:
+        if not name:
             raise LibraryError("version name must be non-empty")
-        if self.area <= 0:
+        if area <= 0:
             raise LibraryError(
-                f"version {self.name!r}: area must be positive, got {self.area}")
-        if self.delay <= 0:
+                f"version {name!r}: area must be positive, got {area}")
+        if delay <= 0:
             raise LibraryError(
-                f"version {self.name!r}: delay must be positive, got {self.delay}")
-        if not (0.0 < self.reliability <= 1.0):
+                f"version {name!r}: delay must be positive, got {delay}")
+        if not (0.0 < reliability <= 1.0):
             raise LibraryError(
-                f"version {self.name!r}: reliability must be in (0, 1], "
-                f"got {self.reliability}")
+                f"version {name!r}: reliability must be in (0, 1], "
+                f"got {reliability}")
+        key = (rtype, name, area, delay, reliability, description)
+        canonical = _INTERNED.get(key)
+        if canonical is not None:
+            return canonical
+        version = super().__new__(cls)
+        for field_name, value in zip(_FIELDS, key):
+            object.__setattr__(version, field_name, value)
+        # setdefault is atomic: racing threads all get the first object
+        return _INTERNED.setdefault(key, version)
 
-    def __hash__(self):
-        # same value the generated dataclass hash would produce, but
-        # memoized: version objects are embedded in every engine memo
-        # key, so their hash runs millions of times per sweep
-        cached = self.__dict__.get("_cached_hash")
-        if cached is None:
-            cached = hash((self.rtype, self.name, self.area, self.delay,
-                           self.reliability, self.description))
-            object.__setattr__(self, "_cached_hash", cached)
-        return cached
+    __hash__ = object.__hash__
 
-    def __getstate__(self):
-        # string hashes are salted per process: a memoized hash must
-        # never travel in a pickle (cache snapshots, worker hand-offs)
-        # or equal versions would hash differently after a reload
-        state = dict(self.__dict__)
-        state.pop("_cached_hash", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+    def __reduce__(self):
+        return (ResourceVersion, (self.rtype, self.name, self.area,
+                                  self.delay, self.reliability,
+                                  self.description))
 
     @property
     def failure_rate(self) -> float:
@@ -122,3 +132,6 @@ class ResourceVersion:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise LibraryError(f"malformed version dict: {exc}") from exc
+
+
+_FIELDS = tuple(f.name for f in fields(ResourceVersion))

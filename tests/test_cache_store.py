@@ -24,6 +24,32 @@ from repro.errors import CacheError, ReproError
 from repro.library import paper_library
 
 
+def v1_snapshot_bytes(snapshot):
+    """*snapshot* as a format-1 file: the header says v1 and versions
+    pickle the way they did before interning (``__newobj__`` plus a
+    state dict, never calling the constructor)."""
+    import copyreg
+    import hashlib
+    import io
+    import pickle
+
+    from repro.library.version import ResourceVersion
+
+    class V1Pickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is ResourceVersion:
+                return (copyreg.__newobj__, (ResourceVersion,),
+                        obj.to_dict())
+            return NotImplemented
+
+    buffer = io.BytesIO()
+    V1Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(
+        {"version": 1, "layers": snapshot.layers})
+    payload = buffer.getvalue()
+    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return cache_store.MAGIC + b" v1\n" + digest + b"\n" + payload
+
+
 @pytest.fixture(scope="module")
 def lib():
     return paper_library()
@@ -111,6 +137,34 @@ class TestRejection:
             b"v%d\n" % cache_store.SNAPSHOT_VERSION, b"v999\n", 1)
         with pytest.raises(CacheError, match="999"):
             cache_store.loads(future)
+
+    def test_format_1_file_is_rejected_by_its_header(self, warm_engine):
+        # a v1 payload cannot be unpickled any more (interned versions
+        # need their constructor arguments); the header must stop it
+        # before a single payload byte is decoded
+        data = v1_snapshot_bytes(snapshot_engine(warm_engine))
+        with pytest.raises(CacheError,
+                           match="format version 1, this build reads 2"):
+            cache_store.loads(data)
+
+    def test_format_1_cache_dir_warns_and_runs_cold(self, warm_engine,
+                                                    tmp_path, capsys):
+        from repro.cli import main
+
+        args = ["synth", "diffeq", "-l", "6", "-a", "11",
+                "--cache-dir", str(tmp_path)]
+        assert main(args[:-2]) == 0
+        cold = capsys.readouterr().out
+        path = cache_store.snapshot_path(str(tmp_path))
+        with open(path, "wb") as fh:
+            fh.write(v1_snapshot_bytes(snapshot_engine(warm_engine)))
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold
+        assert "ignoring engine cache" in captured.err
+        assert "format version 1" in captured.err
+        # the run replaced the stale file with a current one
+        assert cache_store.load(path).version == cache_store.SNAPSHOT_VERSION
 
     def test_truncated_payload(self, warm_engine):
         data = self._snapshot_bytes(warm_engine)

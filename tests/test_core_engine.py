@@ -312,3 +312,64 @@ class TestParallelSweep:
             assert (a.latency_bound, a.area_bound) == \
                 (b.latency_bound, b.area_bound)
             assert result_fingerprint(a.result) == result_fingerprint(b.result)
+
+
+class _DictClient:
+    """Minimal in-process cache client: serves and stores a dict."""
+
+    def __init__(self):
+        self.store = {}
+
+    def get(self, layer, key):
+        try:
+            return True, self.store[(layer, key)]
+        except KeyError:
+            return False, None
+
+    def get_many(self, layer, keys):
+        return {key: self.store[(layer, key)] for key in keys
+                if (layer, key) in self.store}
+
+    def put_many(self, entries):
+        for layer, key, value in entries:
+            self.store[(layer, key)] = value
+        return len(entries)
+
+    def close(self):
+        pass
+
+
+class TestEngineLifetime:
+    """A dropped engine is freed by reference counting alone: no
+    reference cycle may tie it (and every cached schedule it holds) to
+    the next full garbage collection."""
+
+    @staticmethod
+    def _freed_without_gc(lib, attach):
+        import gc
+        import weakref
+
+        from repro.core.engine import RemoteCacheBackend
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine = EvaluationEngine(max_entries=64)  # force evictions
+            if attach:
+                engine.attach_backend(RemoteCacheBackend(_DictClient()))
+            find_design(fir16(), lib, 10, 9, engine=engine)
+            if attach:
+                engine.detach_backend()
+            assert engine.stats.evictions > 0
+            ref = weakref.ref(engine)
+            del engine
+            return ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_fresh_engine_is_freed_without_gc(self, lib):
+        assert self._freed_without_gc(lib, attach=False)
+
+    def test_detached_engine_is_freed_without_gc(self, lib):
+        assert self._freed_without_gc(lib, attach=True)
