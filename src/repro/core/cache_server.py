@@ -39,9 +39,8 @@ Pieces, bottom to top:
 ``synthesize`` / ``evaluate_batch`` jobs
     Remote clients submit whole :func:`~repro.core.find_design.
     find_design` searches and :meth:`~repro.core.engine.
-    EvaluationEngine.evaluate_batch` calls that execute server-side on
-    the compiled batched core, reading and writing the server's own
-    cache layers.  ``synthesize`` streams every improving design back
+    EvaluationEngine.evaluate_batch` calls that execute server-side,
+    reading and writing the server's own cache layers.  ``synthesize`` streams every improving design back
     (``("design", result)`` frames) before the final reply, so a
     latency-bounded caller always holds the best design found so far.
 RPC batch window (``batch_window`` / ``--batch-window``)
@@ -853,17 +852,12 @@ class _LoopbackClient:
 
 
 class _LoopbackBackend(RemoteCacheBackend):
-    """The job engines' backend: batch-safe, marker-free.
+    """The job engines' backend: marker-free.
 
-    ``BATCH_SAFE`` keeps :meth:`EvaluationEngine.evaluate_batch` on
-    the vectorized compiled core — the loopback "round trip" is a dict
-    lookup, so the per-item prefetch protocol that justifies the
-    remote fallback does not apply.  Negative markers are disabled:
-    the server's layers *are* the shared truth, so a miss marker could
-    only mask a store made milliseconds later.
+    Negative markers are disabled: the server's layers *are* the
+    shared truth, so a miss marker could only mask a store made
+    milliseconds later.
     """
-
-    BATCH_SAFE = True
 
     def __init__(self, client: _LoopbackClient):
         super().__init__(client, negative_ttl=0.0)

@@ -11,7 +11,9 @@ allocations at bound after bound.  The :class:`EvaluationEngine`
 centralizes that question behind content-addressed caches so repeated
 work is answered from memory, while staying *behaviourally identical*
 to the uncached algorithms (the test suite asserts byte-identical
-``DesignResult``\\ s with the cache on and off).
+``DesignResult``\\ s with the cache on and off).  There is one
+evaluation path, :meth:`EvaluationEngine.evaluate`;
+:meth:`~EvaluationEngine.evaluate_batch` is its list form.
 
 Cache layers, from coarse to fine:
 
@@ -21,10 +23,11 @@ Cache layers, from coarse to fine:
     memo; hits skip all scheduling.
 ``density point``
     ``(graph, allocation, latency)`` → one density schedule + binding.
-    Because the density realization at bound ``L`` is the min-area
-    point of the scan over ``[critical, L]``, these per-latency points
-    make a realization found at a looser bound reusable at any tighter
-    bound it fits: the tighter scan is a prefix of the looser one.
+    The density realization at bound ``L`` is the min-area point of the
+    scan over ``[critical, L]``.  The scan costs latencies by lane
+    count without binding, stops at the allocation's area floor, and
+    binds and stores only its winner — which any tighter bound it fits
+    reuses, since the tighter scan is a prefix of the looser one.
 ``schedule point``
     ``(graph, delays, latency)`` → one density schedule.  Schedules
     depend only on the per-operation delays, so allocations that differ
@@ -122,6 +125,25 @@ def allocation_signature(allocation: Mapping[str, ResourceVersion]
     return tuple(sorted(allocation.items()))
 
 
+def _area_floor(signature: AllocationSignature) -> int:
+    """A lower bound on the area of every binding of the allocation,
+    under both area models.
+
+    Each version pool holding an operation of non-zero delay occupies
+    at least one instance.  Pools are keyed by version name, as the
+    binder keys them, and priced at their cheapest member.
+    """
+    cheapest: Dict[str, int] = {}
+    timed = set()
+    for _, version in signature:
+        name = version.name
+        if cheapest.get(name, version.area) >= version.area:
+            cheapest[name] = version.area
+        if version.delay > 0:
+            timed.add(name)
+    return sum(cheapest[name] for name in timed)
+
+
 def _scan_area(schedule: Schedule,
                allocation: Mapping[str, ResourceVersion],
                area_model: str) -> Optional[int]:
@@ -136,9 +158,8 @@ def _scan_area(schedule: Schedule,
     caller binds for real.  The version model is schedule-independent
     (distinct versions used) and always answered.
 
-    The batched evaluation path uses this to cost the non-winning
-    latencies of a density scan in O(pool size) instead of running a
-    full binding per latency.
+    The density scan uses this to cost its non-winning latencies in
+    O(pool size) instead of running a full binding per latency.
     """
     pools: Dict[str, List[str]] = {}
     versions: Dict[str, ResourceVersion] = {}
@@ -195,8 +216,6 @@ class EngineStats:
     remote_fallbacks: int = 0     # times the remote backend was abandoned
     remote_replica_hits: int = 0  # ring hits served by a non-primary copy
     remote_read_repairs: int = 0  # primaries re-warmed after replica hits
-    batch_items: int = 0          # items submitted to evaluate_batch()
-    batched_evals: int = 0        # ... actually solved by the batched path
     wall_time: float = 0.0        # seconds spent inside evaluate()
 
     @property
@@ -208,13 +227,6 @@ class EngineStats:
     def hit_rate(self) -> float:
         """Fraction of evaluate() calls answered from the exact memo."""
         return self.hits / self.requests if self.requests else 0.0
-
-    @property
-    def batch_fill(self) -> float:
-        """Fraction of evaluate_batch() items that reached the batched
-        solver (the rest were memo hits, duplicates, or infeasible)."""
-        return self.batched_evals / self.batch_items if self.batch_items \
-            else 0.0
 
     @property
     def evaluations_per_second(self) -> float:
@@ -233,7 +245,6 @@ class EngineStats:
         }
         snapshot["schedules_run"] = self.schedules_run
         snapshot["hit_rate"] = self.hit_rate
-        snapshot["batch_fill"] = self.batch_fill
         snapshot["evaluations_per_second"] = self.evaluations_per_second
         return snapshot
 
@@ -256,9 +267,6 @@ class EngineStats:
             f"  timing queries        : {self.timing_requests}"
             f" (cache hits {self.timing_hits},"
             f" incremental {self.incremental_timings})",
-            f"  batched evaluations   : {self.batched_evals}"
-            f" (of {self.batch_items} batch items,"
-            f" fill {self.batch_fill:.1%})",
             f"  lru evictions         : {self.evictions}",
             f"  remote cache          : {self.remote_hits} hits"
             f" (negative hits {self.remote_negative_hits},"
@@ -464,14 +472,6 @@ class RemoteCacheBackend:
 
     #: buffered stores shipped per ``put_many`` round trip.
     PUT_BATCH = 32
-
-    #: Whether :meth:`EvaluationEngine.evaluate_batch` may stay on its
-    #: vectorized path with this backend attached.  False here: over a
-    #: real socket the per-item path's range prefetch amortizes round
-    #: trips that the batched kernels would pay key-by-key.  In-process
-    #: backends whose "round trip" is a dict lookup (the cache server's
-    #: loopback backend) override this to True.
-    BATCH_SAFE = False
 
     #: seconds a remote miss is remembered before the key is re-asked.
     NEGATIVE_TTL = 5.0
@@ -1210,7 +1210,7 @@ class EvaluationEngine:
         return result
 
     # ------------------------------------------------------------------
-    # batched evaluation
+    # batches (the service's RPC shapes)
     # ------------------------------------------------------------------
     def evaluate_batch(self, graph: DataFlowGraph,
                        allocations: Sequence[Mapping[str, ResourceVersion]],
@@ -1218,246 +1218,18 @@ class EvaluationEngine:
                        area_model: Optional[str] = None,
                        stop_at_area: Optional[int] = None,
                        scheduler: Optional[str] = None,
-                       scheduler_impl: Optional[str] = None,
-                       batch_size: Optional[int] = None
+                       scheduler_impl: Optional[str] = None
                        ) -> List[Optional["Evaluation"]]:
         """``[self.evaluate(graph, a, latency_bound, ...) for a in
-        allocations]`` with cache misses solved in vectorized batches.
-
-        Results are identical to the sequential loop: memo hits are
-        served from the evaluation memo, duplicates collapse onto one
-        computation, and the misses share one batched timing pass and
-        one lockstep density solve (:func:`repro.hls.fastsched.
-        batched_density_schedules`) instead of per-item kernel runs.
-        Only private cache *population* differs — the batched density
-        scan costs non-winning latencies with :func:`_scan_area`
-        (lane counts, no binder) and caches a density point only for
-        each item's winning latency, so a later sweep may re-bind a
-        point the sequential path would have had cached.  Never
-        observable in results; asserted design-identical by the test
-        suite.
-
-        ``EngineStats.batch_items`` counts submitted items,
-        ``EngineStats.batched_evals`` those that reached the batched
-        solver; their ratio is :attr:`EngineStats.batch_fill`.
-        *batch_size* splits the items into chunks solved one vectorized
-        round at a time (``None`` = one chunk; a ragged final chunk is
-        processed like any other).
-
-        Falls back to the exact sequential loop whenever the batched
-        kernels could diverge or cannot help: caching disabled, the
-        reference implementation selected, ``stop_at_area`` set (its
-        early break is inherently sequential), a remote cache backend
-        attached that is not batch-safe (over a socket, the per-item
-        prefetch protocol amortizes round trips better), an empty
-        graph, or a pure ``"list"`` scheduler request.
+        allocations]`` — the shape of the service's ``evaluate_batch``
+        RPC and of its batch window (:meth:`evaluate_batch_grouped`).
         """
-        allocations = list(allocations)
-        if not allocations:
-            return []
-        area_model = area_model if area_model is not None \
-            else self.area_model
-        scheduler = scheduler if scheduler is not None else self.scheduler
-        impl = scheduler_impl if scheduler_impl is not None \
-            else self.scheduler_impl
-        if scheduler not in SCHEDULERS:
-            raise ReproError(
-                f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}")
-        if impl not in SCHEDULER_IMPLS:
-            raise ReproError(
-                f"unknown scheduler implementation {impl!r}; "
-                f"use one of {SCHEDULER_IMPLS}")
-        self.stats.batch_items += len(allocations)
-        if (not self.cache_enabled or impl != "fast"
-                or stop_at_area is not None
-                or (self._backend is not None
-                    and not self._backend.BATCH_SAFE)
-                or scheduler == "list" or len(graph) == 0):
-            return [self.evaluate(graph, allocation, latency_bound,
-                                  area_model=area_model,
-                                  stop_at_area=stop_at_area,
-                                  scheduler=scheduler, scheduler_impl=impl)
-                    for allocation in allocations]
-        started = time.perf_counter()
-        self.stats.requests += len(allocations)
-        try:
-            results: List[Optional[Evaluation]] = [None] * len(allocations)
-            chunk = len(allocations) if batch_size is None \
-                else max(1, int(batch_size))
-            for base in range(0, len(allocations), chunk):
-                self._evaluate_chunk(
-                    graph, allocations, results,
-                    range(base, min(base + chunk, len(allocations))),
-                    latency_bound, area_model, scheduler)
-            return results
-        finally:
-            self.stats.wall_time += time.perf_counter() - started
-
-    def _evaluate_chunk(self, graph, allocations, results, indices,
-                        latency_bound, area_model, scheduler) -> None:
-        """One vectorized round of :meth:`evaluate_batch`."""
-        record = self._record(graph)
-        delayed = [(idx, {op_id: v.delay
-                          for op_id, v in allocations[idx].items()})
-                   for idx in indices]
-        # one batched level pass covers every distinct uncached delay
-        # vector; results land in the compiled graph's memo *and* the
-        # engine timing layer, exactly as per-item evaluations would
-        timings = fastsched.batched_timing(graph,
-                                           [d for _, d in delayed])
-        ids = record.compiled.op_ids
-        metas = []
-        for (idx, delays), timing in zip(delayed, timings):
-            delays_key = tuple(sorted(delays.items()))
-            self.stats.timing_requests += 1
-            timing_key = (record.key, delays_key)
-            cached = self._timing_cache.get(timing_key, _MISSING)
-            if cached is not _MISSING:
-                self.stats.timing_hits += 1
-                critical = cached[1]
-            else:
-                critical = timing.critical
-                self._timing_cache.put(
-                    timing_key, (dict(zip(ids, timing.asap)), critical))
-            metas.append((idx, delays, delays_key, critical))
-        # memo pass, preserving the sequential semantics exactly:
-        # bound-infeasible items return None *without* memoization
-        todo = []
-        dups: Dict[tuple, List[int]] = {}
-        for idx, delays, delays_key, critical in metas:
-            if critical > latency_bound:
-                results[idx] = None
-                continue
-            signature = allocation_signature(allocations[idx])
-            memo_key = (record.key, signature, latency_bound, area_model,
-                        scheduler, None)
-            memoized = self._evaluations.get(memo_key, _MISSING)
-            if memoized is not _MISSING:
-                self.stats.hits += 1
-                results[idx] = memoized
-                continue
-            if memo_key in dups:
-                dups[memo_key].append(idx)
-                continue
-            dups[memo_key] = []
-            todo.append((idx, delays, delays_key, critical, signature,
-                         memo_key))
-        solved: Dict[tuple, Optional[Evaluation]] = {}
-        if todo:
-            self.stats.batched_evals += len(todo)
-            self._solve_batch(graph, record, allocations, results, todo,
-                              latency_bound, area_model, scheduler, solved)
-        for memo_key, extra in dups.items():
-            for idx in extra:  # same allocation repeated within a chunk
-                self.stats.hits += 1
-                results[idx] = solved[memo_key]
-
-    def _solve_batch(self, graph, record, allocations, results, todo,
-                     latency_bound, area_model, scheduler, solved) -> None:
-        """Evaluate the chunk's memo misses through the batched kernels."""
-        density_best: Dict[int, Optional[Evaluation]] = {}
-        if scheduler in ("auto", "density"):
-            # plan every item's latency scan: served density points and
-            # cached schedule points are reused; the rest is collected
-            # into one lockstep density solve
-            needed: Dict[tuple, Tuple[Mapping[str, int], int]] = {}
-            plans = []
-            for idx, delays, delays_key, critical, signature, _ in todo:
-                plan = []
-                for latency in range(critical, latency_bound + 1):
-                    self.stats.density_points += 1
-                    pair = self._density.get_local(
-                        (record.key, signature, latency), _MISSING)
-                    if pair is not _MISSING:
-                        self.stats.density_hits += 1
-                        plan.append(("pair", latency, pair))
-                        continue
-                    point_key = (record.key, delays_key, latency)
-                    point = self._schedules.get(point_key, _MISSING)
-                    if point is not _MISSING:
-                        self.stats.schedule_reuses += 1
-                        plan.append(("point", latency, point))
-                        continue
-                    plan.append(("solve", latency, point_key))
-                    if point_key not in needed:
-                        needed[point_key] = (delays, latency)
-                plans.append(plan)
-            fresh: Dict[tuple, _SchedulePoint] = {}
-            if needed:
-                self.stats.density_schedules += len(needed)
-                schedules = fastsched.batched_density_schedules(
-                    graph, list(needed.values()))
-                for point_key, schedule in zip(needed, schedules):
-                    point = _SchedulePoint(schedule)
-                    self._schedules.put(point_key, point)
-                    fresh[point_key] = point
-            for item, plan in zip(todo, plans):
-                idx, delays, delays_key, critical, signature, _ = item
-                allocation = allocations[idx]
-                best = None  # (area, latency, evaluation-or-point)
-                for how, latency, obj in plan:
-                    if how == "pair":
-                        if obj is None:
-                            continue  # cached infeasible point
-                        schedule, binding = obj
-                        area = total_area(binding, area_model)
-                        if best is None or area < best[0]:
-                            best = (area, latency,
-                                    Evaluation(schedule, binding,
-                                               schedule.latency, area))
-                        continue
-                    point = obj if how == "point" else fresh[obj]
-                    if point.schedule is None:
-                        continue
-                    area = _scan_area(point.schedule, allocation,
-                                      area_model)
-                    if area is None:
-                        # zero-delay pool: lane counts are ambiguous,
-                        # bind for real (and cache the pair, exactly as
-                        # the sequential scan would)
-                        binding = self._bind_point(point, allocation,
-                                                   signature)
-                        pair = (point.schedule, binding)
-                        self._density.put(
-                            (record.key, signature, latency), pair)
-                        area = total_area(binding, area_model)
-                        if best is None or area < best[0]:
-                            best = (area, latency,
-                                    Evaluation(point.schedule, binding,
-                                               point.schedule.latency,
-                                               area))
-                    elif best is None or area < best[0]:
-                        best = (area, latency, point)
-                if best is not None and isinstance(best[2], _SchedulePoint):
-                    # realize only the winning latency with a real
-                    # binding — identical to the full left-edge bind the
-                    # sequential scan would have produced there
-                    area, latency, point = best
-                    binding = self._bind_point(point, allocation,
-                                               signature)
-                    assert total_area(binding, area_model) == area
-                    pair = (point.schedule, binding)
-                    self._density.put((record.key, signature, latency),
-                                      pair)
-                    best = (area, latency,
-                            Evaluation(point.schedule, binding,
-                                       point.schedule.latency, area))
-                density_best[idx] = None if best is None else best[2]
-        for item in todo:
-            idx, delays, delays_key, critical, signature, memo_key = item
-            candidates = []
-            if scheduler in ("auto", "density"):
-                candidates.append(density_best.get(idx))
-            if scheduler in ("auto", "list"):
-                candidates.append(self._list_best(
-                    graph, record, signature, allocations[idx],
-                    latency_bound, area_model, "fast"))
-            feasible = [c for c in candidates if c is not None]
-            result = min(feasible, key=lambda e: e.area) if feasible \
-                else None
-            self._evaluations.put(memo_key, result)
-            solved[memo_key] = result
-            results[idx] = result
+        return [self.evaluate(graph, allocation, latency_bound,
+                              area_model=area_model,
+                              stop_at_area=stop_at_area,
+                              scheduler=scheduler,
+                              scheduler_impl=scheduler_impl)
+                for allocation in allocations]
 
     def evaluate_batch_grouped(
             self, requests: Sequence[tuple]
@@ -1565,47 +1337,74 @@ class EvaluationEngine:
     def _density_best(self, graph, record, signature, allocation, delays,
                       delays_key, critical, latency_bound, area_model,
                       stop_at_area, impl):
-        best = None
-        if self._backend is not None and self.cache_enabled:
+        """The min-area density realization over ``[critical,
+        latency_bound]``, earliest latency on ties, stopping at the
+        first area at or below *stop_at_area* (the paper's Figure 6,
+        lines 15–21).
+
+        A cache-disabled engine binds every latency it scans: it is the
+        oracle.  A caching engine does the same scan with two savings
+        that cannot change the result:
+
+        * a latency without a cached density point is costed by lane
+          count (:func:`_scan_area`), and only the winning latency is
+          bound and stored in the ``density`` layer;
+        * the scan also stops at the allocation's area floor
+          (:func:`_area_floor`), which no latency can undercut, so the
+          first point there is the earliest minimum.
+        """
+        cached = self.cache_enabled
+        stop = stop_at_area
+        if cached:
+            floor = _area_floor(signature)
+            if stop is None or stop < floor:
+                stop = floor
+        latencies = range(critical, latency_bound + 1)
+        if self._backend is not None and cached:
             # one round trip for the whole latency range instead of one
             # per point; local-only engines skip even building the keys
             self._density.prefetch([(record.key, signature, latency)
-                                    for latency in
-                                    range(critical, latency_bound + 1)])
-        for latency in range(critical, latency_bound + 1):
-            pair = self._density_point(graph, record, signature, allocation,
-                                       delays, delays_key, latency, impl)
-            if pair is None:
-                continue
-            schedule, binding = pair
-            area = total_area(binding, area_model)
-            if best is None or area < best.area:
-                best = Evaluation(schedule, binding, schedule.latency, area)
-            if stop_at_area is not None and area <= stop_at_area:
-                break
-        return best
-
-    def _density_point(self, graph, record, signature, allocation, delays,
-                       delays_key, latency, impl
-                       ) -> Optional[Tuple[Schedule, Binding]]:
-        self.stats.density_points += 1
-        key = (record.key, signature, latency)
-        if self.cache_enabled:
-            # L1-only: _density_best already prefetched the whole range
-            cached = self._density.get_local(key, _MISSING)
-            if cached is not _MISSING:
+                                    for latency in latencies])
+        best = None  # (area, latency, (schedule, binding) or point)
+        for latency in latencies:
+            self.stats.density_points += 1
+            key = (record.key, signature, latency)
+            # L1-only: the range was prefetched above
+            found = self._density.get_local(key, _MISSING) if cached \
+                else _MISSING
+            if found is not _MISSING:
                 self.stats.density_hits += 1
-                return cached
-        point = self._schedule_point(graph, record, delays, delays_key,
-                                     latency, impl)
-        if point.schedule is None:
-            pair: Optional[Tuple[Schedule, Binding]] = None
-        else:
-            pair = (point.schedule,
-                    self._bind_point(point, allocation, signature))
-        if self.cache_enabled:
-            self._density.put(key, pair)
-        return pair
+                if found is None:
+                    continue  # an infeasible point
+                area = total_area(found[1], area_model)
+            else:
+                found = self._schedule_point(graph, record, delays,
+                                             delays_key, latency, impl)
+                if found.schedule is None:
+                    continue
+                area = _scan_area(found.schedule, allocation, area_model) \
+                    if cached else None
+                if area is None:
+                    found = (found.schedule,
+                             self._bind_point(found, allocation, signature))
+                    if cached:
+                        self._density.put(key, found)
+                    area = total_area(found[1], area_model)
+            if best is None or area < best[0]:
+                best = (area, latency, found)
+            if stop is not None and area <= stop:
+                break
+        if best is None:
+            return None
+        area, latency, found = best
+        if isinstance(found, _SchedulePoint):
+            # the winner's real binding: lane-minimal, so its area is
+            # exactly the lane count it was costed at
+            found = (found.schedule,
+                     self._bind_point(found, allocation, signature))
+            self._density.put((record.key, signature, latency), found)
+        schedule, binding = found
+        return Evaluation(schedule, binding, schedule.latency, area)
 
     def _schedule_point(self, graph, record, delays, delays_key, latency,
                         impl) -> _SchedulePoint:

@@ -12,7 +12,8 @@ The realization algorithms themselves live in
 :mod:`repro.core.engine`, which memoizes them across searches and
 sweeps; this module keeps the historical call surface
 (:func:`evaluate_allocation` delegates to the process-wide default
-engine, or to an explicit ``engine=``).
+engine, or to an explicit ``engine=``; :func:`evaluate_allocations` is
+its list form).
 """
 
 from __future__ import annotations
@@ -118,24 +119,14 @@ def evaluate_allocations(graph: DataFlowGraph,
                          area_model: str = AREA_INSTANCES,
                          scheduler: str = "auto",
                          scheduler_impl: Optional[str] = None,
-                         batch_size: Optional[int] = None,
                          engine=None) -> List[Optional[Evaluation]]:
-    """Batched :func:`evaluate_allocation` over many candidate
-    allocations of one graph.
-
-    Equivalent to evaluating each allocation in order — identical
-    results, asserted by the test suite — but cache misses are solved
-    through the engine's vectorized kernels
-    (:meth:`repro.core.engine.EvaluationEngine.evaluate_batch`): one
-    level pass times every distinct delay vector, and one lockstep
-    density solve covers every missing schedule point of the whole
-    sweep.
-    """
+    """:func:`evaluate_allocation` over many candidate allocations of
+    one graph, in order
+    (:meth:`repro.core.engine.EvaluationEngine.evaluate_batch`)."""
     from repro.core.engine import default_engine
 
     engine = engine if engine is not None else default_engine()
     return engine.evaluate_batch(graph, allocations, latency_bound,
                                  area_model=area_model,
                                  scheduler=scheduler,
-                                 scheduler_impl=scheduler_impl,
-                                 batch_size=batch_size)
+                                 scheduler_impl=scheduler_impl)

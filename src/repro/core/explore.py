@@ -98,11 +98,10 @@ def sweep_bounds(graph: DataFlowGraph,
                  **kwargs) -> List[SweepPoint]:
     """Synthesize at every (Ld, Ad) pair; infeasible points yield None.
 
-    Each grid point's search batches its candidate-allocation rounds
-    through :meth:`EvaluationEngine.evaluate_batch` (see
-    :mod:`repro.core.find_design`), so cold sweeps solve memo misses
-    through the vectorized scheduling kernels rather than one
-    allocation at a time.
+    Each grid point's search realizes its candidates one
+    :meth:`EvaluationEngine.evaluate` call at a time (see
+    :mod:`repro.core.find_design`); the shared engine answers the
+    allocations that grid points revisit from its caches.
 
     Parameters
     ----------

@@ -36,6 +36,12 @@ area-repair and refinement loops use that record to *dominance-prune*
 candidate swaps that were already realized and cannot improve on the
 incumbent (the engine is deterministic, so re-evaluating them could
 not change anything — the prune only skips provably redundant work).
+Every candidate is realized by one :meth:`~repro.core.engine.
+EvaluationEngine.evaluate` call, in the order the loops generate them.
+
+Two bounds are refused before any trajectory runs: an area bound below
+:func:`area_floor`, and a latency bound below the critical path of the
+fastest allocation (no allocation has a shorter one).
 """
 
 from __future__ import annotations
@@ -105,28 +111,6 @@ class _Search:
         evaluation = self.engine.evaluate(
             self.graph, allocation, self.latency_bound,
             area_model=self.area_model)
-        return self._absorb(allocation, evaluation)
-
-    def consider_batch(self, allocations) -> list:
-        """:meth:`consider` for many candidates in one engine batch.
-
-        Equivalent to considering them in order (the engine's batched
-        path is result-identical to its sequential one), but cache
-        misses share vectorized timing and density solves.  Used by the
-        neighbor-generation scans of the area-repair, group-refinement
-        and uniform-fallback loops, whose candidate sets within one
-        round are pairwise distinct and judged only after the whole
-        round — so batching cannot change which candidate wins.
-        """
-        evaluations = self.engine.evaluate_batch(
-            self.graph, allocations, self.latency_bound,
-            area_model=self.area_model)
-        return [self._absorb(allocation, evaluation)
-                for allocation, evaluation in zip(allocations, evaluations)]
-
-    def _absorb(self, allocation: Dict[str, ResourceVersion], evaluation
-                ) -> Optional[DesignResult]:
-        """Record one engine evaluation into the search state."""
         signature = allocation_signature(allocation)
         if evaluation is None:
             self.realized[signature] = None
@@ -215,7 +199,8 @@ def find_design(graph: DataFlowGraph,
     ------
     NoSolutionError
         When no explored allocation meets both bounds, or at once when
-        *area_bound* is below :func:`area_floor`.
+        *area_bound* is below :func:`area_floor` or *latency_bound* is
+        below the critical path of the fastest allocation.
     """
     graph.validate()
     check_area_model(area_model)
@@ -231,32 +216,28 @@ def find_design(graph: DataFlowGraph,
         raise _no_solution(graph, library, latency_bound, area_bound,
                            area_model, engine,
                            f": its area floor is {least_area}")
+    fastest = {op.op_id: library.fastest(op.rtype) for op in graph}
+    floor = engine.min_latency(graph, fastest)
+    if floor > latency_bound:  # no allocation has a shorter critical path
+        raise _no_solution(graph, library, latency_bound, area_bound,
+                           area_model, engine,
+                           f": its latency floor is {floor}")
     search = _Search(graph, library, latency_bound, area_bound, area_model,
                      method="find_design", engine=engine,
                      on_improvement=on_improvement)
 
-    fastest = {op.op_id: library.fastest(op.rtype) for op in graph}
-    floor = engine.min_latency(graph, fastest)
     if latency_sweep:
-        horizons = range(min(floor, latency_bound), latency_bound + 1)
+        horizons = range(floor, latency_bound + 1)
     else:
         horizons = [latency_bound]
     seen_allocations: set = set()
     for horizon in horizons:
         _trajectory(search, horizon, repair, refine, seen_allocations)
 
-    # Fallback: uniform single-version allocations, realized in
-    # lazily-drained batches (the generator stays unmaterialized; the
-    # final ragged chunk is processed like any other).
+    # Fallback: uniform single-version allocations
     if fallback and search.best is None:
-        pending = []
         for combo in uniform_allocations(graph, library):
-            pending.append(combo)
-            if len(pending) >= 64:
-                search.consider_batch(pending)
-                pending = []
-        if pending:
-            search.consider_batch(pending)
+            search.consider(combo)
 
     if search.best is None:
         raise _no_solution(graph, library, latency_bound, area_bound,
@@ -324,10 +305,8 @@ def _trajectory(search: _Search, horizon: int, repair: str,
             guard += 1
             if guard > 10 * max(1, len(library)) * len(graph):
                 raise ReproError("area repair loop failed to terminate")
-            # one round's candidate swaps are pairwise-distinct
-            # allocations judged only after the whole scan, so the
-            # non-pruned ones batch into a single engine evaluation
-            candidates = []
+            chosen = None
+            chosen_key = None
             for swap in group_swaps(library, allocation,
                                     smaller_only=(repair == "paper")):
                 trial_alloc = swap.apply(allocation)
@@ -337,12 +316,7 @@ def _trajectory(search: _Search, horizon: int, repair: str,
                     # dominance prune: already realized this search and
                     # cannot beat the current area — skip re-evaluation
                     continue
-                candidates.append((swap, trial_alloc))
-            trials = search.consider_batch(
-                [trial_alloc for _, trial_alloc in candidates])
-            chosen = None
-            chosen_key = None
-            for (swap, trial_alloc), trial in zip(candidates, trials):
+                trial = search.consider(trial_alloc)
                 if trial is None:     # violates the latency bound
                     continue
                 if trial.area >= current.area:
@@ -364,10 +338,8 @@ def _trajectory(search: _Search, horizon: int, repair: str,
         improved = True
         while improved:
             improved = False
-            # the gain filter is constant per swap (it never depends on
-            # earlier trials in the round), so the surviving candidates
-            # batch into one engine evaluation like the repair loop's
-            candidates = []
+            chosen = None
+            chosen_gain = 0.0
             for swap in group_swaps(library, allocation):
                 gain = (len(swap.ops)
                         * (math.log(swap.new_version.reliability)
@@ -379,12 +351,7 @@ def _trajectory(search: _Search, horizon: int, repair: str,
                 if known is not _UNSEEN and (known is None
                                              or known > area_bound):
                     continue  # dominance prune: known infeasible
-                candidates.append((swap, gain, trial_alloc))
-            trials = search.consider_batch(
-                [trial_alloc for _, _, trial_alloc in candidates])
-            chosen = None
-            chosen_gain = 0.0
-            for (swap, gain, _), trial in zip(candidates, trials):
+                trial = search.consider(trial_alloc)
                 if trial is None or trial.area > area_bound:
                     continue
                 if gain > chosen_gain:
@@ -404,12 +371,6 @@ def _refine_per_op(search: _Search,
     largest reliability gain is applied; the climb stops when no
     single change both improves reliability and stays within bounds.
     Feasible intermediate states are recorded in *search* as usual.
-
-    Deliberately *not* batched: the ``gain <= chosen_gain + 1e-12``
-    filter tightens as the scan progresses, so which candidates get
-    evaluated depends on earlier results within the same round —
-    batching would evaluate (and record in ``search.realized``) a
-    different candidate set than the sequential reference.
     """
     while True:
         chosen = None

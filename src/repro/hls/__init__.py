@@ -12,7 +12,6 @@ from repro.hls.binding import Binding, Instance, left_edge_bind
 from repro.hls.density import asap_schedule, density_schedule
 from repro.hls.fastsched import (
     batched_density_schedules,
-    batched_time_frames,
     batched_timing,
     density_schedule_range,
     fast_alap_starts,
@@ -71,7 +70,6 @@ __all__ = [
     "fast_list_schedule",
     "density_schedule_range",
     "batched_timing",
-    "batched_time_frames",
     "batched_density_schedules",
     "list_schedule",
     "min_latency_with_counts",

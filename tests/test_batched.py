@@ -1,14 +1,14 @@
-"""Equivalence of the batched evaluation pipeline with the per-item path.
+"""The list-form entry points agree with the per-item path and the oracle.
 
-The contract of every batched entry point — :func:`repro.hls.
-batched_timing`, :func:`repro.hls.batched_time_frames`,
+The contract of every list form — :func:`repro.hls.batched_timing`,
 :func:`repro.hls.batched_density_schedules`,
 :meth:`repro.core.EvaluationEngine.evaluate_batch` and
 :func:`repro.core.evaluate_allocations` — is *identical output* to the
-sequential loop it replaces: same schedules, same selected designs,
-same errors with the same messages, first failing item wins.  These
-tests drive the Table 2 benchmarks and randomized graphs through both
-paths and assert exact agreement.
+sequential loop: same schedules, same selected designs, same errors
+with the same messages, first failing item wins.  These tests drive
+the Table 2 benchmarks and randomized graphs through both and assert
+exact agreement, and check the lane-count costing the density scan
+uses against the binder.
 """
 
 import itertools
@@ -17,16 +17,14 @@ import random
 import pytest
 
 from repro.bench import diffeq, ewf, fir16
-from repro.dfg import BatchedDelays, GraphBatch, compile_graph, random_dag
+from repro.dfg import random_dag
 from repro.dfg.graph import DataFlowGraph, Operation
-from repro.errors import DFGError, SchedulingError
+from repro.errors import SchedulingError
 from repro.hls import (
     batched_density_schedules,
-    batched_time_frames,
     batched_timing,
     density_schedule,
     fast_density_schedule,
-    fast_time_frames,
     left_edge_bind,
     total_area,
 )
@@ -93,48 +91,6 @@ class TestBatchedTiming:
                 assert timing.critical == base_timing(graph, delays).critical
 
 
-class TestBatchedTimeFrames:
-    def test_matches_per_item(self):
-        graph = ewf()
-        requests = library_requests(graph, 6, seed=5)
-        delays_list = [d for d, _ in requests]
-        latencies = [latency for _, latency in requests]
-        batched = batched_time_frames(graph, delays_list, latencies)
-        for delays, latency, frames in zip(delays_list, latencies, batched):
-            assert frames == fast_time_frames(graph, delays, latency)
-
-    def test_fixed_placements_match(self):
-        graph = fir16()
-        delays = random_delays(graph, 9)
-        latency = base_timing(graph, delays).critical + 2
-        op = next(iter(graph)).op_id
-        plain = fast_time_frames(graph, delays, latency)
-        fixed = {op: plain[op][1]}
-        batched = batched_time_frames(
-            graph, [delays, delays], [latency, latency], [None, fixed])
-        assert batched[0] == plain
-        assert batched[1] == fast_time_frames(graph, delays, latency, fixed)
-        assert batched[1] != batched[0]
-
-    def test_error_message_parity(self):
-        graph = diffeq()
-        delays = random_delays(graph, 2)
-        bad = base_timing(graph, delays).critical  # make one op's frame
-        op = next(iter(graph)).op_id               # empty via fixed
-        fixed = {op: bad + 5}
-        with pytest.raises(SchedulingError) as batched_err:
-            batched_time_frames(graph, [delays], [bad], [fixed])
-        with pytest.raises(SchedulingError) as single_err:
-            fast_time_frames(graph, delays, bad, fixed)
-        assert str(batched_err.value) == str(single_err.value)
-
-    def test_length_mismatch_raises(self):
-        graph = diffeq()
-        delays = random_delays(graph, 1)
-        with pytest.raises(ValueError, match="differ in length"):
-            batched_time_frames(graph, [delays, delays], [9])
-
-
 class TestBatchedDensitySchedules:
     def test_matches_fast_and_reference_on_benches(self):
         for bench in BENCHES:
@@ -159,30 +115,6 @@ class TestBatchedDensitySchedules:
             for (delays, latency), got in zip(requests, batched):
                 assert got.starts == density_schedule(
                     graph, delays, latency).starts, (seed, latency)
-
-    def test_wide_columns_run_the_exact_per_item_solver(self,
-                                                        monkeypatch):
-        """Only columns whose scaled occupancy fits the int64 arrays
-        join the lockstep solver; the rest run per item, identically."""
-        from repro.hls import fastsched
-
-        graph = fir16()
-        delays = random_delays(graph, 3)
-        critical = base_timing(graph, delays).critical
-        requests = [(delays, critical + slack) for slack in (0, 1, 2, 60)]
-        admitted = []
-        lockstep = fastsched._solve_density_lockstep
-
-        def spy(cg, cols):
-            admitted.extend(latency for _, latency, _ in cols)
-            return lockstep(cg, cols)
-
-        monkeypatch.setattr(fastsched, "_solve_density_lockstep", spy)
-        batched = batched_density_schedules(graph, requests)
-        assert admitted == [critical, critical + 1, critical + 2]
-        for (delays, latency), got in zip(requests, batched):
-            assert got.starts == density_schedule(
-                graph, delays, latency).starts
 
     def test_infeasible_latency_message_parity(self):
         graph = fir16()
@@ -251,18 +183,6 @@ class TestEvaluateBatch:
                     got, oracle.evaluate(graph, allocation, latency),
                     (graph.name, idx))
 
-    def test_ragged_batch_sizes(self):
-        graph = fir16()
-        allocations = random_allocations(graph, 7, seed=1)
-        want = EvaluationEngine(scheduler="density").evaluate_batch(
-            graph, allocations, 12)
-        for batch_size in (1, 2, 3, 5, 100):
-            engine = EvaluationEngine(scheduler="density")
-            got = engine.evaluate_batch(graph, allocations, 12,
-                                        batch_size=batch_size)
-            for g, w, allocation in zip(got, want, allocations):
-                self.assert_same_evaluation(g, w, batch_size)
-
     def test_duplicates_and_memo_hits(self):
         graph = diffeq()
         allocations = random_allocations(graph, 4, seed=2)
@@ -279,15 +199,6 @@ class TestEvaluateBatch:
         assert engine.stats.hits >= hits_before + feasible
         for g, w in zip(again, first):
             self.assert_same_evaluation(g, w, "memo")
-
-    def test_stats_counters(self):
-        graph = ewf()
-        allocations = random_allocations(graph, 6, seed=3)
-        engine = EvaluationEngine(scheduler="density")
-        engine.evaluate_batch(graph, allocations, 15)
-        assert engine.stats.batch_items == len(allocations)
-        assert 0 < engine.stats.batched_evals <= len(allocations)
-        assert 0.0 < engine.stats.batch_fill <= 1.0
 
     def test_empty_batch(self):
         engine = EvaluationEngine()
@@ -354,62 +265,6 @@ class TestFindDesignBatchedParity:
             assert fast.schedule.starts == ref.schedule.starts
             assert {o: v.name for o, v in fast.allocation.items()} \
                 == {o: v.name for o, v in ref.allocation.items()}
-            assert fast_engine.stats.batch_items > 0
-
-
-class TestGraphBatch:
-    def test_union_timing_decomposes(self):
-        graphs = [random_dag(8 + 4 * k, seed=40 + k) for k in range(3)]
-        batch = GraphBatch(graphs)
-        delays_list = [random_delays(g, 60 + k)
-                       for k, g in enumerate(graphs)]
-        union_delays = batch.union_delays(delays_list)
-        timing = base_timing(batch.union, union_delays)
-        cg = compile_graph(batch.union)
-        union_asap = dict(zip(cg.op_ids, timing.asap))
-        per_member = batch.split(union_asap)
-        for graph, delays, asap in zip(graphs, delays_list, per_member):
-            single = base_timing(graph, delays)
-            assert asap == dict(zip(compile_graph(graph).op_ids,
-                                    single.asap))
-
-    def test_split_round_trip(self):
-        graphs = [diffeq(), fir16()]
-        batch = GraphBatch(graphs)
-        delays_list = [random_delays(g, k) for k, g in enumerate(graphs)]
-        assert batch.split(batch.union_delays(delays_list)) == delays_list
-
-    def test_wrong_arity_raises(self):
-        batch = GraphBatch([diffeq()])
-        with pytest.raises(DFGError, match="expected 1 delay mappings"):
-            batch.union_delays([])
-
-    def test_zero_graphs_raises(self):
-        with pytest.raises(DFGError, match="zero graphs"):
-            GraphBatch([])
-
-
-class TestBatchedDelays:
-    def test_keys_match_per_item_memo_keys(self):
-        graph = fir16()
-        delays_list = [random_delays(graph, k) for k in range(3)]
-        batch = BatchedDelays.from_mappings(graph, delays_list)
-        cg = compile_graph(graph)
-        assert len(batch) == 3
-        for b, delays in enumerate(delays_list):
-            assert batch.key(b) == cg.delays_array(delays).tobytes()
-            assert list(batch.row(b)) == list(cg.delays_array(delays))
-
-    def test_shape_validation(self):
-        import numpy as np
-
-        cg = compile_graph(fir16())
-        with pytest.raises(DFGError, match="does not match"):
-            BatchedDelays(cg, np.zeros((2, cg.n_ops + 1), dtype=np.int64))
-
-    def test_empty_batch(self):
-        batch = BatchedDelays.from_mappings(fir16(), [])
-        assert len(batch) == 0
 
 
 def test_table2_style_grid_end_to_end():

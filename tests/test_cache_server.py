@@ -1008,6 +1008,13 @@ class TestBackpressure:
                 request = wire.encode(("get", "density", key), "pickle")
                 framed = struct.pack("!I", len(request)) + request
                 sock.sendall(framed * 400)  # ~6.5 MB of replies due
+                # let the replies back up past the cap before reading:
+                # draining earlier can keep the outbuf under it
+                deadline = time.monotonic() + 30.0
+                while server.stats.backpressure_disconnects == 0 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert server.stats.backpressure_disconnects == 1
                 # now drain: ok replies, then the condemnation frame,
                 # then EOF — never a hang, never a killed server
                 saw_backpressure = False

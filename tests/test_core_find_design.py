@@ -118,6 +118,28 @@ class TestInfeasibility:
             find_design(fir16(), lib, 100, 2)
         assert (exc_info.value.latency, exc_info.value.area) == (9, 3)
 
+    @pytest.mark.parametrize("bench", [fir16, ewf, diffeq])
+    def test_latency_floor_verdict_runs_no_search(self, lib, bench):
+        graph = bench()
+        fastest = {op.op_id: lib.fastest(op.rtype) for op in graph}
+        floor = min_latency(graph, fastest)
+        engine = EvaluationEngine()
+        with pytest.raises(NoSolutionError,
+                           match=f": its latency floor is {floor}$") \
+                as exc_info:
+            find_design(graph, lib, floor - 1, 10_000, engine=engine)
+        assert exc_info.value.latency == floor
+        assert exc_info.value.area is not None
+        # the verdict's one diagnostic evaluation, and no trajectory or
+        # fallback candidate
+        assert engine.stats.requests == 1
+
+    def test_latency_floor_verdict_keeps_the_diagnostics(self, lib):
+        with pytest.raises(NoSolutionError, match="latency floor is 9") \
+                as exc_info:
+            find_design(fir16(), lib, 8, 100)
+        assert (exc_info.value.latency, exc_info.value.area) == (9, 3)
+
     @pytest.mark.parametrize("area_model", [AREA_INSTANCES, AREA_VERSIONS])
     @given(st.integers(2, 12), st.integers(0, 1_000), st.integers(0, 4))
     @settings(max_examples=15, deadline=None)

@@ -17,12 +17,16 @@ identical:
   only ever cost hit rate, never change results.
 
 A further property pins the incremental re-binder against the full
-left-edge bind on single-operation allocation deltas.
+left-edge bind on single-operation allocation deltas, and another the
+caching engine's density scan (lane-count costing, winner-only
+binding, the area-floor stop) against the oracle's bind-every-latency
+scan.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.bench import diffeq
+from repro.dfg import DFGBuilder, chain
 from repro.core import (
     EvaluationEngine,
     cache_store,
@@ -33,6 +37,7 @@ from repro.core import (
 from repro.dfg import random_dag
 from repro.errors import NoSolutionError
 from repro.hls.binding import left_edge_bind, rebind_versions
+from repro.hls.metrics import AREA_INSTANCES, AREA_VERSIONS
 from repro.library import ResourceLibrary, ResourceVersion, paper_library
 
 
@@ -206,6 +211,101 @@ class TestEvaluateEquivalence:
         assert evaluation_fingerprint(
             reloaded.evaluate(rebuilt, rebuilt_allocation, bound)) == \
             expected
+
+
+def zero_delay_version(rtype, name, area, reliability=0.99):
+    """A version of delay 0, built around the library's validation
+    (which refuses it).  Zero-delay operations have empty intervals,
+    whose lane counts depend on pack order, so the density scan must
+    bind them for real; this lets the property cover that branch."""
+    version = object.__new__(ResourceVersion)
+    for field, value in (("rtype", rtype), ("name", name), ("area", area),
+                         ("delay", 0), ("reliability", reliability),
+                         ("description", "")):
+        object.__setattr__(version, field, value)
+    return version
+
+
+@st.composite
+def scan_case(draw):
+    """A graph and one allocation, some of whose adders may run on a
+    zero-delay version."""
+    graph, _library, requests = draw(evaluation_case())
+    allocation = dict(requests[0][0])
+    if draw(st.booleans()):
+        zero = zero_delay_version("add", "a-zero",
+                                  draw(st.integers(min_value=1,
+                                                   max_value=5)))
+        for op_id, version in allocation.items():
+            if version.rtype == "add" and draw(st.booleans()):
+                allocation[op_id] = zero
+    return graph, allocation
+
+
+class TestDensityScan:
+    @given(scan_case(),
+           st.sampled_from([AREA_INSTANCES, AREA_VERSIONS]),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+           st.integers(min_value=0, max_value=40),
+           st.sampled_from(["density", "auto"]))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_scan_matches_the_oracle(self, case, area_model,
+                                            stop_at_area, slack, scheduler):
+        """A caching engine costs latencies by lane count, binds only
+        the winner and stops at the area floor; none of it may change
+        the schedule, binding, area or latency evaluate returns."""
+        graph, allocation = case
+        off = EvaluationEngine(cache=False, scheduler=scheduler)
+        cached = EvaluationEngine(scheduler=scheduler)
+        critical = off.min_latency(graph, allocation)
+        # looser bound first, so the tighter scan reuses its winner
+        for bound in (critical + slack, critical + slack // 2):
+            want = off.evaluate(graph, allocation, bound,
+                                area_model=area_model,
+                                stop_at_area=stop_at_area)
+            got = cached.evaluate(graph, allocation, bound,
+                                  area_model=area_model,
+                                  stop_at_area=stop_at_area)
+            assert evaluation_fingerprint(got) == \
+                evaluation_fingerprint(want)
+
+    def test_floor_met_at_the_critical_latency_ends_the_scan(self):
+        """A chain on one version needs one instance at any latency:
+        its area floor is met at once, so the scan examines one density
+        point and binds once, however loose the bound."""
+        graph = chain("add", 4)
+        version = paper_library().versions_of("add")[0]
+        allocation = {op.op_id: version for op in graph}
+        engine = EvaluationEngine(scheduler="density")
+        off = EvaluationEngine(cache=False, scheduler="density")
+        bound = engine.min_latency(graph, allocation) + 20
+        got = engine.evaluate(graph, allocation, bound)
+        assert got.area == version.area
+        assert engine.stats.density_points == 1
+        assert engine.stats.bindings + engine.stats.incremental_rebinds == 1
+        assert evaluation_fingerprint(got) == evaluation_fingerprint(
+            off.evaluate(graph, allocation, bound))
+        assert off.stats.density_points == 21
+
+
+    def test_scan_passes_areas_above_the_floor(self):
+        """Two independent adders share one instance only once the
+        bound lets them run back to back: the scan must not stop at the
+        two-instance point, one unit above the floor."""
+        builder = DFGBuilder("pair")
+        builder.add("add")
+        builder.add("add")
+        graph = builder.build()
+        version = paper_library().versions_of("add")[0]
+        allocation = {op.op_id: version for op in graph}
+        engine = EvaluationEngine(scheduler="density")
+        off = EvaluationEngine(cache=False, scheduler="density")
+        bound = engine.min_latency(graph, allocation) + version.delay
+        got = engine.evaluate(graph, allocation, bound)
+        assert got.area == version.area
+        assert engine.stats.density_points == version.delay + 1
+        assert evaluation_fingerprint(got) == evaluation_fingerprint(
+            off.evaluate(graph, allocation, bound))
 
 
 class TestIncrementalRebind:
