@@ -95,7 +95,13 @@ Transports, encodings and trust:
   socket in either direction.  Every TCP connection must open with a
   ``hello`` handshake carrying :data:`PROTOCOL_VERSION`, the ``json``
   encoding, and the server's shared-secret auth token; anything else
-  is rejected with a clean error and a closed connection.
+  is rejected with a clean error and a closed connection.  Both ends
+  of every TCP connection (the client's socket and each connection
+  the server accepts) set ``TCP_NODELAY``: frames are small,
+  latency-bound and written whole in one call, so Nagle's algorithm
+  only adds a delayed-ACK stall (40 ms or more) to every streamed
+  reply and to the tail of every large frame.  ``AF_UNIX`` sockets
+  have no Nagle and never get the option.
 
 Wire values use the same encoding as snapshot files (content-tuple
 graph keys; ``schedules`` entries as plain tuples), so the server's
@@ -276,6 +282,15 @@ def parse_address(address: str) -> tuple:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+def _no_delay(sock: socket.socket) -> None:
+    """Turn Nagle's algorithm off (why: module docstring, Transports).
+
+    TCP sockets only: ``setsockopt`` on ``IPPROTO_TCP`` raises on
+    ``AF_UNIX`` sockets, which have no Nagle to turn off.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def _send_frame(sock: socket.socket, message: tuple,
                 max_bytes: int = MAX_FRAME_BYTES,
                 encoding: str = "pickle") -> None:
@@ -408,6 +423,7 @@ class CacheClient:
         parsed = parse_address(self.address)
         if parsed[0] == "tcp":
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            _no_delay(sock)
             target: object = (parsed[1], parsed[2])
         else:
             # "unix" and "abstract" both dial AF_UNIX; the abstract
@@ -1367,6 +1383,14 @@ class CacheServer:
                 self._pause_accept(now)
                 return
             sock.setblocking(False)
+            if self.transport == "tcp":
+                try:
+                    _no_delay(sock)
+                except OSError:
+                    # the peer reset before we got here (the BSDs
+                    # report EINVAL): drop it like an aborted accept
+                    sock.close()
+                    continue
             conn = _Connection(sock, self.transport, now)
             self._conns.add(conn)
             with self._lock:
@@ -1439,7 +1463,7 @@ class CacheServer:
     def _writable(self, conn: _Connection) -> None:
         if conn.outbuf:
             try:
-                sent = conn.sock.send(bytes(conn.outbuf))
+                sent = conn.sock.send(conn.outbuf)
                 del conn.outbuf[:sent]
             except (BlockingIOError, InterruptedError):
                 # zero bytes fit (AF_UNIX refuses partial writes of a

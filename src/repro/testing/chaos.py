@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.cache_server import _LEN, parse_address
+from repro.core.cache_server import _LEN, _no_delay, parse_address
 from repro.errors import CacheError
 
 __all__ = ["ChaosPolicy", "ChaosProxy"]
@@ -107,6 +107,8 @@ class ChaosProxy:
     :meth:`start`) and dials *upstream* once per accepted connection.
     Two pump threads per connection move frames in each direction,
     consulting :attr:`policy` (swappable at runtime) for every frame.
+    Each TCP leg runs with Nagle off, like the service's own sockets,
+    so the proxy adds no delayed-ACK stalls of its own.
 
     :attr:`stats` counts ``connections``, ``forwarded``, ``dropped``,
     ``delayed``, ``truncated``, and ``disconnects`` — tests assert on
@@ -207,6 +209,8 @@ class ChaosProxy:
                 self._close_socket(client_side)
                 continue
             try:
+                if client_side.family != socket.AF_UNIX:
+                    _no_delay(client_side)
                 server_side = self._dial_upstream()
             except OSError:
                 self._close_socket(client_side)
@@ -223,8 +227,10 @@ class ChaosProxy:
     def _dial_upstream(self) -> socket.socket:
         parsed = parse_address(self.upstream)
         if parsed[0] == "tcp":
-            return socket.create_connection((parsed[1], parsed[2]),
+            sock = socket.create_connection((parsed[1], parsed[2]),
                                             timeout=5.0)
+            _no_delay(sock)
+            return sock
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(5.0)
         sock.connect(parsed[1])

@@ -199,6 +199,37 @@ class TestOpSet:
 
 
 # ----------------------------------------------------------------------
+# Nagle: off on both ends of every TCP connection, untouched elsewhere
+# ----------------------------------------------------------------------
+class TestNoDelay:
+    def test_tcp_nodelay_on_tcp_only(self, rig, monkeypatch):
+        tcp_options = []
+        real_setsockopt = socket.socket.setsockopt
+
+        def recording_setsockopt(sock, level, option, *value):
+            if level == socket.IPPROTO_TCP:
+                tcp_options.append((sock.family, option))
+            return real_setsockopt(sock, level, option, *value)
+
+        # the server loop thread sees the patched class too, so this
+        # records the accept side as well as the client's connect
+        monkeypatch.setattr(socket.socket, "setsockopt",
+                            recording_setsockopt)
+        with rig.client() as client:
+            client.ping()
+            if rig.server.transport != "tcp":
+                assert tcp_options == []
+                return
+            local_end = client._sock.getsockname()
+            accepted = [conn.sock for conn in list(rig.server._conns)
+                        if conn.sock.getpeername() == local_end]
+            assert len(accepted) == 1
+            for sock in (client._sock, accepted[0]):
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY) != 0
+
+
+# ----------------------------------------------------------------------
 # legacy peers: version skew is a clean rejection on every transport
 # ----------------------------------------------------------------------
 class TestLegacyPeer:

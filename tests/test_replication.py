@@ -21,6 +21,7 @@ Four layers, bottom-up:
   warm-pull and resumes serving without any client restart.
 """
 
+import socket
 import subprocess
 import sys
 import time
@@ -280,6 +281,33 @@ class TestChaosProxy:
             proxy.heal()
             with self._client(proxy) as client:
                 client.ping()
+
+    @pytest.mark.parametrize("listen,upstream", [
+        ("tcp", "tcp"), ("tcp", "unix"), ("unix", "tcp")])
+    def test_tcp_legs_run_without_nagle(self, tmp_path, listen, upstream):
+        token = "chaos-secret"
+        server = cache_server.CacheServer(
+            "tcp://127.0.0.1:0" if upstream == "tcp"
+            else str(tmp_path / "upstream.sock"),
+            auth_token=token).start()
+        address = ("tcp://127.0.0.1:0" if listen == "tcp"
+                   else str(tmp_path / "proxy.sock"))
+        try:
+            with ChaosProxy(server.address, address=address) as proxy:
+                with self._client(proxy, encoding="json",
+                                  auth_token=token) as client:
+                    client.ping()
+                    [(client_side, server_side)] = proxy._pairs
+                    for leg, transport in ((client_side, listen),
+                                           (server_side, upstream)):
+                        if transport == "tcp":
+                            assert leg.getsockopt(
+                                socket.IPPROTO_TCP,
+                                socket.TCP_NODELAY) != 0
+                        else:
+                            assert leg.family == socket.AF_UNIX
+        finally:
+            server.stop()
 
     def test_policy_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
