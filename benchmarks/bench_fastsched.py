@@ -1,7 +1,7 @@
 """Benchmark: the compiled scheduling core on cold Table 2 sweeps.
 
 The caches of PRs 1-3 made *repeated* evaluations cheap; this
-benchmark measures the complementary claim of the compiled array-based
+benchmark measures the complementary claim of the compiled index-based
 scheduling core (``dfg/compiled.py`` + ``hls/fastsched.py``): *cold*
 evaluations — workloads the engine has never seen — are fast too.
 

@@ -349,8 +349,14 @@ def _attach_cache_server(args):
     return server, address
 
 
-def _release_cache_server(server) -> None:
-    """Detach the default engine; absorb and stop an ephemeral server."""
+def _release_cache_server(server, address) -> None:
+    """Detach the default engine; absorb and stop an ephemeral server.
+
+    A no-op when :func:`_attach_cache_server` attached nothing, so a
+    local run never imports the service tier.
+    """
+    if address is None:
+        return
     from repro.core import cache_server, default_engine
 
     engine = default_engine()
@@ -381,7 +387,7 @@ def _load_library(path: Optional[str]):
 
 
 def _cmd_synth(args) -> int:
-    from repro.core import synthesize, synthesize_remote
+    from repro.core import synthesize
 
     if args.remote and args.method != "ours":
         print("error: --remote submits the paper's search (method "
@@ -390,10 +396,12 @@ def _cmd_synth(args) -> int:
     graph = _load_graph(args.benchmark)
     library = _load_library(args.library)
     _load_engine_cache(args.cache_dir)
-    server, _address = _attach_cache_server(args)
+    server, address = _attach_cache_server(args)
     try:
         try:
             if args.remote:
+                from repro.core import synthesize_remote
+
                 result = synthesize_remote(
                     graph, library, args.latency, args.area,
                     address=args.remote,
@@ -408,7 +416,7 @@ def _cmd_synth(args) -> int:
             return 2
     finally:
         # the exploration is worth keeping even when the search failed
-        _release_cache_server(server)
+        _release_cache_server(server, address)
         _save_engine_cache(args.cache_dir)
     if args.json:
         print(json.dumps(result.summary(), indent=2))
@@ -510,7 +518,7 @@ def _cmd_experiment(args) -> int:
                 print(table.as_text())
                 print()
     finally:
-        _release_cache_server(server)
+        _release_cache_server(server, address)
         if state["unsaved"]:  # a clean run already saved at the last
             _save_engine_cache(args.cache_dir)  # checkpoint
     return 0
@@ -530,7 +538,7 @@ def _cmd_explore(args) -> int:
                               cache_token=getattr(args, "cache_token",
                                                   None))
     finally:
-        _release_cache_server(server)
+        _release_cache_server(server, address)
     _save_engine_cache(args.cache_dir)
     print(f"{'Ld':>4} {'Ad':>4} {'latency':>8} {'area':>5} {'reliability':>12}")
     for point in points:

@@ -1,14 +1,13 @@
-"""Core synthesis algorithms: the paper's contribution and baselines."""
+"""Core synthesis algorithms: the paper's contribution and baselines.
 
-from repro.core import cache_store
+The cache service tier (:mod:`~repro.core.cache_store`,
+:mod:`~repro.core.cache_server`, :mod:`~repro.core.shard`,
+:mod:`~repro.core.wire`) and Monte Carlo validation
+(:mod:`~repro.core.montecarlo`, the only user of numpy) load on first
+access, so a local synthesis imports none of them.
+"""
+
 from repro.core.baseline import baseline_design
-from repro.core.cache_store import (
-    CompactionStats,
-    EngineSnapshot,
-    compact_snapshot,
-    merge_snapshot,
-    snapshot_engine,
-)
 from repro.core.combined import combined_design
 from repro.core.design import DesignResult
 from repro.core.engine import (
@@ -18,21 +17,6 @@ from repro.core.engine import (
     allocation_signature,
     default_engine,
     set_default_engine,
-)
-from repro.core import cache_server, shard, wire
-from repro.core.cache_server import (
-    CacheClient,
-    CacheServer,
-    attach_engine,
-    detach_engine,
-    evaluate_batch_remote,
-    synthesize_remote,
-)
-from repro.core.shard import (
-    ShardedCacheClient,
-    ShardRing,
-    ShardRingHandle,
-    start_shard_ring,
 )
 from repro.core.evaluate import (
     SCHEDULER_IMPLS,
@@ -50,11 +34,6 @@ from repro.core.explore import (
     synthesize,
 )
 from repro.core.find_design import find_design, uniform_allocations
-from repro.core.montecarlo import (
-    MonteCarloReport,
-    simulate_design,
-    simulate_designs,
-)
 from repro.core.objectives import minimize_area, minimize_latency
 from repro.core.optimal import optimal_design
 from repro.core.redundancy import apply_greedy_redundancy, best_upgrade
@@ -118,3 +97,34 @@ __all__ = [
     "reliability_vs_area",
     "METHODS",
 ]
+
+#: Lazily loaded submodules and the names re-exported from each.
+_LAZY_EXPORTS = {
+    "cache_store": ("CompactionStats", "EngineSnapshot", "compact_snapshot",
+                    "merge_snapshot", "snapshot_engine"),
+    "cache_server": ("CacheClient", "CacheServer", "attach_engine",
+                     "detach_engine", "evaluate_batch_remote",
+                     "synthesize_remote"),
+    "shard": ("ShardedCacheClient", "ShardRing", "ShardRingHandle",
+              "start_shard_ring"),
+    "wire": (),
+    "montecarlo": ("MonteCarloReport", "simulate_design",
+                   "simulate_designs"),
+}
+_LAZY = {name: module for module, names in _LAZY_EXPORTS.items()
+         for name in (module, *names)}
+
+
+def __getattr__(name):
+    # PEP 562: import an optional subsystem on first access
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value

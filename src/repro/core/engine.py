@@ -780,7 +780,7 @@ class EvaluationEngine:
         ``"list"``); overridable per call.
     scheduler_impl:
         Which scheduling *core* runs on cache misses: ``"fast"`` (the
-        default) is the compiled array-based implementation
+        default) is the compiled index-based implementation
         (:mod:`repro.hls.fastsched` over
         :class:`~repro.dfg.compiled.CompiledGraph`), ``"reference"``
         the original dict-based kernels.  The two produce identical
@@ -1082,8 +1082,8 @@ class EvaluationEngine:
         succs = compiled.succs
         d = [delays[op] for op in ids]
         s = [starts[op] for op in ids]
-        rank = compiled.topo_rank.tolist()
-        topo = compiled.topo.tolist()
+        rank = compiled.topo_rank
+        topo = compiled.topo
         if self.cache_enabled and self.scheduler_impl == "fast":
             # base_timing already computed (and memoized) the tails
             tail = fastsched.base_timing(record.graph, delays).tail

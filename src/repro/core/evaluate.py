@@ -32,7 +32,7 @@ from repro.library.version import ResourceVersion
 SCHEDULERS = ("auto", "density", "list")
 
 #: Scheduling-core implementations: ``"fast"`` is the compiled
-#: array-based core (:mod:`repro.hls.fastsched`), ``"reference"`` the
+#: index-based core (:mod:`repro.hls.fastsched`), ``"reference"`` the
 #: original dict-based kernels.  Both produce identical schedules; the
 #: switch exists so the reference can serve as an equivalence oracle.
 SCHEDULER_IMPLS = ("fast", "reference")

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.parallel import run_tasks
-
 from repro.dfg.graph import DataFlowGraph
 from repro.errors import NoSolutionError, ReproError
 from repro.hls.metrics import AREA_INSTANCES
@@ -139,6 +137,8 @@ def sweep_bounds(graph: DataFlowGraph,
              for latency_bound in latency_bounds
              for area_bound in area_bounds]
     if uses_workers(workers, len(pairs)):
+        from repro.parallel import run_tasks
+
         engine = engine if engine is not None else default_engine()
         if cache_server is not None and share_caches is True:
             share_caches = "live"

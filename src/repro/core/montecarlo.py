@@ -22,11 +22,6 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 from repro.core.design import DesignResult
 from repro.errors import ReproError
 
@@ -87,7 +82,7 @@ def _group_survives(reliability: float, copies: int,
 def _simulate_scalar(per_op: List[Tuple[float, int]], trials: int,
                      rng: random.Random) -> int:
     """Reference per-trial × per-op loop (used when a caller supplies
-    its own ``random.Random`` stream, or when numpy is unavailable)."""
+    its own ``random.Random`` stream)."""
     successes = 0
     for _ in range(trials):
         for reliability, copies in per_op:
@@ -105,6 +100,19 @@ def _shape_counts(per_op: List[Tuple[float, int]]
     for shape in per_op:
         shapes[shape] = shapes.get(shape, 0) + 1
     return shapes
+
+
+def _numpy():
+    """numpy, imported on first use: only the batched samplers need it,
+    so the rest of the package runs on the standard library alone."""
+    try:
+        import numpy
+    except ImportError:
+        raise ReproError(
+            "seeded Monte Carlo sampling needs numpy, which is not "
+            "installed; install numpy, or pass rng=random.Random(seed) "
+            "to run the scalar reference loop") from None
+    return numpy
 
 
 def _groups_survive(survivors, copies: int):
@@ -130,8 +138,9 @@ def _simulate_batched(per_op: List[Tuple[float, int]], trials: int,
     ``(trials × ops)`` draw per shape replaces the per-trial Python
     loop.
     """
-    rng = _np.random.default_rng(seed)
-    alive = _np.ones(trials, dtype=bool)
+    np = _numpy()
+    rng = np.random.default_rng(seed)
+    alive = np.ones(trials, dtype=bool)
     for (reliability, copies), ops in _shape_counts(per_op).items():
         survivors = rng.binomial(copies, reliability, size=(trials, ops))
         alive &= _groups_survive(survivors, copies).all(axis=1)
@@ -150,17 +159,18 @@ def simulate_design(result: DesignResult,
     result (the serial system of the paper's Section 5).
 
     Runs as one batched binomial sampling pass per replica-group shape
-    (deterministic per *seed*).  Passing an explicit *rng* selects the
-    scalar reference loop driven by that stream instead.
+    (deterministic per *seed*; needs numpy, and raises
+    :class:`~repro.errors.ReproError` without it).  Passing an explicit
+    *rng* selects the scalar reference loop driven by that stream
+    instead.
     """
     if trials < 1:
         raise ReproError(f"trials must be positive, got {trials}")
     per_op = _replica_groups(result)
-    if rng is None and _np is not None:
+    if rng is None:
         successes = _simulate_batched(per_op, trials, seed)
     else:
-        successes = _simulate_scalar(per_op, trials,
-                                     rng or random.Random(seed))
+        successes = _simulate_scalar(per_op, trials, rng)
     return MonteCarloReport(trials, successes, result.reliability)
 
 
@@ -196,8 +206,9 @@ def simulate_designs(results: List[DesignResult],
     :func:`simulate_design` calls but consume the random stream in a
     different order, so success counts differ from per-item seeding;
     the scalar reference loop remains the semantic oracle and is used
-    verbatim when an explicit *rng* is supplied (or numpy is missing),
-    simulating each design in order from that one stream.
+    verbatim when an explicit *rng* is supplied, simulating each design
+    in order from that one stream.  The seeded path needs numpy, and
+    raises :class:`~repro.errors.ReproError` without it.
     """
     results = list(results)
     if trials < 1:
@@ -205,10 +216,9 @@ def simulate_designs(results: List[DesignResult],
     if not results:
         return []
     per_ops = [_replica_groups(result) for result in results]
-    if rng is not None or _np is None:
-        stream = rng or random.Random(seed)
+    if rng is not None:
         return [MonteCarloReport(trials,
-                                 _simulate_scalar(per_op, trials, stream),
+                                 _simulate_scalar(per_op, trials, rng),
                                  result.reliability)
                 for result, per_op in zip(results, per_ops)]
     # one shape table for the whole campaign (not rebuilt per design)
@@ -216,8 +226,9 @@ def simulate_designs(results: List[DesignResult],
     for idx, per_op in enumerate(per_ops):
         for shape, count in _shape_counts(per_op).items():
             columns.setdefault(shape, []).append((idx, count))
-    np_rng = _np.random.default_rng(seed)
-    alive = _np.ones((len(results), trials), dtype=bool)
+    np = _numpy()
+    np_rng = np.random.default_rng(seed)
+    alive = np.ones((len(results), trials), dtype=bool)
     for (reliability, copies) in sorted(columns):
         uses = columns[(reliability, copies)]
         total = sum(count for _, count in uses)

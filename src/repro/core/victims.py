@@ -48,7 +48,7 @@ def critical_operations(graph: DataFlowGraph,
     else:
         latency = asap_latency(graph, delays)
     if getattr(timing, "scheduler_impl", "reference") == "fast":
-        # identical integer fixpoint over the compiled arrays, without
+        # identical integer fixpoint over the compiled graph, without
         # the reference's per-call topological re-sorts
         frames = fastsched.fast_time_frames(graph, delays, latency)
     else:

@@ -4,13 +4,12 @@ Scheduler passes that walk string-keyed adjacency dicts and re-derive
 the topological order on every call spend their time on *graph
 bookkeeping*, not arithmetic.  A :class:`CompiledGraph` pays those
 costs exactly once per graph: the node set is flattened into dense
-integer indices (insertion order), adjacency into CSR arrays, the
-deterministic topological order into a permutation array, and resource
-types into small integer codes.  Structural *levels* (longest-path
-depth in edge count, forward and reverse) are precomputed so timing
-passes can propagate level-by-level with NumPy gather/``reduceat``
-kernels instead of per-node Python (:mod:`repro.hls.fastsched` builds
-on exactly these arrays).
+integer indices (insertion order), adjacency into per-index tuples of
+predecessor and successor indices, the deterministic topological order
+into an index tuple (and its inverse, the rank of each index), and
+resource types into small integer codes.  Everything is a plain
+tuple, so the scheduling core (:mod:`repro.hls.fastsched`) needs
+nothing beyond the standard library.
 
 Compilation is cached on the graph object itself (invalidated when the
 operation or edge count changes), so every evaluation of a graph —
@@ -21,15 +20,13 @@ reconstructs an equivalent :class:`~repro.dfg.graph.DataFlowGraph`
 order comes from the same sort as
 :meth:`DataFlowGraph.topological_order` (smallest insertion index
 among ready nodes, :func:`repro.dfg.graph.lexicographic_topo`), so
-array-based and reference algorithms traverse nodes in the same
+index-based and reference algorithms traverse nodes in the same
 sequence.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.dfg.graph import DataFlowGraph, lexicographic_topo
 from repro.dfg.node import Operation
@@ -43,10 +40,10 @@ assert _CACHE_ATTR in DataFlowGraph._TRANSIENT_ATTRS
 
 
 class CompiledGraph:
-    """Integer-indexed arrays describing one :class:`DataFlowGraph`.
+    """Integer-indexed tuples describing one :class:`DataFlowGraph`.
 
     Operations are numbered ``0..n_ops-1`` in graph insertion order.
-    All arrays are read-only views of the graph at compile time; use
+    All fields are read-only views of the graph at compile time; use
     :func:`compile_graph` (which re-compiles when the graph grew) to
     obtain one.
     """
@@ -55,11 +52,7 @@ class CompiledGraph:
         "name", "n_ops", "n_edges",
         "op_ids", "index", "kinds", "rtypes_per_op", "labels",
         "rtype_names", "rtype_codes",
-        "edge_list",
-        "pred_ptr", "pred_idx", "succ_ptr", "succ_idx",
-        "preds", "succs",
-        "topo", "topo_rank",
-        "fwd_levels", "rev_levels", "source_idx", "sink_idx",
+        "edge_list", "preds", "succs", "topo", "topo_rank",
         "_timing_cache",
     )
 
@@ -79,9 +72,8 @@ class CompiledGraph:
         self.rtype_names: Tuple[str, ...] = tuple(
             sorted(set(self.rtypes_per_op)))
         code_of = {name: c for c, name in enumerate(self.rtype_names)}
-        self.rtype_codes = np.fromiter(
-            (code_of[r] for r in self.rtypes_per_op),
-            dtype=np.int32, count=n)
+        self.rtype_codes: Tuple[int, ...] = tuple(
+            code_of[r] for r in self.rtypes_per_op)
 
         edges = graph.edges()
         self.n_edges = len(edges)
@@ -98,21 +90,14 @@ class CompiledGraph:
             tuple(p) for p in preds)
         self.succs: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(s) for s in succs)
-        self.pred_ptr, self.pred_idx = _to_csr(preds)
-        self.succ_ptr, self.succ_idx = _to_csr(succs)
 
-        topo_list = lexicographic_topo([len(p) for p in preds], succs,
-                                       self.name)
-        self.topo = np.asarray(topo_list, dtype=np.int32)
-        self.topo_rank = np.empty(n, dtype=np.int32)
-        self.topo_rank[self.topo] = np.arange(n, dtype=np.int32)
-
-        self.fwd_levels = _levels(n, self.preds, topo_list)
-        self.rev_levels = _levels(n, self.succs, topo_list[::-1])
-        self.source_idx = np.fromiter(
-            (i for i in range(n) if not preds[i]), dtype=np.int32)
-        self.sink_idx = np.fromiter(
-            (i for i in range(n) if not succs[i]), dtype=np.int32)
+        topo = lexicographic_topo([len(p) for p in preds], succs,
+                                  self.name)
+        self.topo: Tuple[int, ...] = tuple(topo)
+        rank = [0] * n
+        for position, i in enumerate(topo):
+            rank[i] = position
+        self.topo_rank: Tuple[int, ...] = tuple(rank)
         # delays-keyed ASAP/tail memo used by repro.hls.fastsched
         self._timing_cache: Dict[tuple, object] = {}
 
@@ -126,10 +111,10 @@ class CompiledGraph:
         """Operation ids in topological order (== the graph's)."""
         return [self.op_ids[i] for i in self.topo]
 
-    def delays_array(self, delays) -> np.ndarray:
-        """Per-index delay vector from an op-id keyed mapping."""
-        return np.fromiter((delays[op_id] for op_id in self.op_ids),
-                           dtype=np.int64, count=self.n_ops)
+    def delays_array(self, delays) -> Tuple[int, ...]:
+        """Per-index delay tuple from an op-id keyed mapping (hashable,
+        so it doubles as the timing-memo key)."""
+        return tuple([delays[op_id] for op_id in self.op_ids])
 
     def rtype_of(self, i: int) -> str:
         """Resource-type name of operation index *i*."""
@@ -142,8 +127,8 @@ class CompiledGraph:
         """Reconstruct an equivalent :class:`DataFlowGraph`.
 
         Ids, kinds, rtypes, labels and the edge insertion order are
-        preserved, so ``compile_graph(cg.to_graph())`` yields identical
-        arrays.
+        preserved, so ``compile_graph(cg.to_graph())`` yields an
+        identical compiled form.
         """
         graph = DataFlowGraph(self.name)
         for i, op_id in enumerate(self.op_ids):
@@ -157,53 +142,6 @@ class CompiledGraph:
     def __repr__(self) -> str:
         return (f"CompiledGraph(name={self.name!r}, ops={self.n_ops}, "
                 f"edges={self.n_edges}, rtypes={self.rtype_names})")
-
-
-def _to_csr(adjacency: List[List[int]]
-            ) -> Tuple[np.ndarray, np.ndarray]:
-    """(ptr, idx) CSR arrays for a list-of-lists adjacency."""
-    ptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
-    for i, neighbours in enumerate(adjacency):
-        ptr[i + 1] = ptr[i] + len(neighbours)
-    idx = np.fromiter((j for neighbours in adjacency for j in neighbours),
-                      dtype=np.int32, count=int(ptr[-1]))
-    return ptr, idx
-
-
-def _levels(n: int, preds, order
-            ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Structural levels for vectorized propagation along *preds*.
-
-    *order* must be a valid processing sequence for the *preds*
-    direction (the topological order, or its reverse for successor
-    adjacency).  Returns, for every depth ``>= 1`` (depth 0 nodes have
-    no predecessors and need no propagation), a tuple ``(nodes,
-    gather_idx, seg_ptr)``: the member nodes in insertion order, their
-    concatenated predecessor indices, and ``reduceat`` segment offsets
-    — ``np.maximum.reduceat(values[gather_idx], seg_ptr)`` yields the
-    per-node max over predecessors in one call.
-    """
-    depth = [0] * n
-    for i in order:
-        if preds[i]:
-            depth[i] = 1 + max(depth[p] for p in preds[i])
-    by_depth: Dict[int, List[int]] = {}
-    for i in range(n):
-        by_depth.setdefault(depth[i], []).append(i)
-    levels = []
-    for d in sorted(by_depth):
-        if d == 0:
-            continue
-        nodes = by_depth[d]
-        gather: List[int] = []
-        seg_ptr: List[int] = []
-        for node in nodes:
-            seg_ptr.append(len(gather))
-            gather.extend(preds[node])
-        levels.append((np.asarray(nodes, dtype=np.int32),
-                       np.asarray(gather, dtype=np.int32),
-                       np.asarray(seg_ptr, dtype=np.int64)))
-    return levels
 
 
 class MergedBatch:
@@ -287,7 +225,7 @@ class MergedBatch:
 def compile_graph(graph: DataFlowGraph) -> CompiledGraph:
     """The cached compiled form of *graph*.
 
-    The compiled arrays are stored on the graph object and rebuilt when
+    The compiled form is stored on the graph object and rebuilt when
     the operation or edge count changes (the same invalidation contract
     the evaluation engine's graph registry uses); callers therefore
     treat this as O(1) after the first evaluation of a graph.

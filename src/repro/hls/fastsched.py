@@ -1,4 +1,4 @@
-"""Array-based scheduling core: fast ASAP/ALAP, incremental density,
+"""Index-based scheduling core: fast ASAP/ALAP, incremental density,
 event-driven list scheduling.
 
 The reference kernels (:mod:`repro.hls.timing`,
@@ -8,19 +8,19 @@ re-deriving the topological order — after every single placement.  On
 cold evaluations (fresh graphs, first `explore`/`experiment` runs) that
 inner loop dominates wall clock, and no cache layer can help a
 workload the engine has never seen.  This module reimplements the same
-algorithms over the integer-indexed arrays of
+algorithms over the integer-indexed tuples of
 :class:`repro.dfg.compiled.CompiledGraph`, with three structural
 speedups:
 
 ``base timing``
     ASAP starts and *tails* (longest path from an operation through
-    its own delay to the end) propagate level-by-level with NumPy
-    gather/``reduceat`` over the CSR arrays, and are memoized per
-    (graph, delays).  Because ``alap(L) = L - tail``, the time frames
-    at *any* latency bound follow in O(1) from one base pass — this is
-    what lets :meth:`EvaluationEngine._density_best`'s latency-range
-    scan warm-start bound ``L+1`` from bound ``L`` instead of paying a
-    fresh ASAP/ALAP per bound.
+    its own delay to the end) come from one forward and one reverse
+    walk in topological order, and are memoized per (graph, delays).
+    Because ``alap(L) = L - tail``, the time frames at *any* latency
+    bound follow in O(1) from one base pass — this is what lets
+    :meth:`EvaluationEngine._density_best`'s latency-range scan
+    warm-start bound ``L+1`` from bound ``L`` instead of paying a fresh
+    ASAP/ALAP per bound.
 ``incremental density``
     After each placement the scheduler updates only the affected
     descendants' ASAP values and ancestors' ALAP values (a rank-ordered
@@ -65,9 +65,7 @@ import heapq
 import itertools
 import math
 import operator
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dfg.compiled import CompiledGraph, compile_graph
 from repro.dfg.graph import DataFlowGraph
@@ -90,20 +88,27 @@ class _BaseTiming:
 
 
 def _compute_base_timing(cg: CompiledGraph,
-                         delays: np.ndarray) -> _BaseTiming:
-    """Level-parallel ASAP and tail propagation over the CSR arrays."""
-    n = cg.n_ops
-    asap = np.zeros(n, dtype=np.int64)
-    finish = delays.copy()  # asap + delay, maintained alongside
-    for nodes, gather, seg_ptr in cg.fwd_levels:
-        earliest = np.maximum.reduceat(finish[gather], seg_ptr)
-        asap[nodes] = earliest
-        finish[nodes] = earliest + delays[nodes]
-    tail = delays.copy()  # delay + longest successor tail
-    for nodes, gather, seg_ptr in cg.rev_levels:
-        tail[nodes] += np.maximum.reduceat(tail[gather], seg_ptr)
-    critical = int(finish.max()) if n else 0
-    return _BaseTiming(asap.tolist(), tail.tolist(), critical)
+                         d: Sequence[int]) -> _BaseTiming:
+    """ASAP starts by one walk in topological order, tails by one walk
+    in reverse."""
+    preds, succs, topo = cg.preds, cg.succs, cg.topo
+    asap = [0] * cg.n_ops
+    finish = list(d)  # asap + delay, maintained alongside
+    for i in topo:
+        earliest = 0
+        for p in preds[i]:
+            if finish[p] > earliest:
+                earliest = finish[p]
+        asap[i] = earliest
+        finish[i] += earliest
+    tail = list(d)  # delay + longest successor tail
+    for i in reversed(topo):
+        longest = 0
+        for s in succs[i]:
+            if tail[s] > longest:
+                longest = tail[s]
+        tail[i] += longest
+    return _BaseTiming(asap, tail, max(finish, default=0))
 
 
 def base_timing(graph: DataFlowGraph,
@@ -115,16 +120,15 @@ def base_timing(graph: DataFlowGraph,
     vector — pays the propagation exactly once.
     """
     cg = compile_graph(graph)
-    arr = cg.delays_array(delays)
-    key = arr.tobytes()
+    d = cg.delays_array(delays)
     memo = cg._timing_cache
-    cached = memo.get(key)
+    cached = memo.get(d)
     if cached is not None:
         return cached
     if len(memo) >= TIMING_MEMO_ENTRIES:
         memo.clear()
-    timing = _compute_base_timing(cg, arr)
-    memo[key] = timing
+    timing = _compute_base_timing(cg, d)
+    memo[d] = timing
     return timing
 
 
@@ -135,7 +139,7 @@ def fast_asap_starts(graph: DataFlowGraph,
                      delays: Mapping[str, int],
                      fixed: Optional[Mapping[str, int]] = None
                      ) -> Dict[str, int]:
-    """Array-based :func:`repro.hls.timing.asap_starts` equivalent."""
+    """Index-based :func:`repro.hls.timing.asap_starts` equivalent."""
     cg = compile_graph(graph)
     if not fixed:
         starts = base_timing(graph, delays).asap
@@ -143,12 +147,12 @@ def fast_asap_starts(graph: DataFlowGraph,
         starts = _asap_with_fixed(cg, cg.delays_array(delays), fixed)
     # key order matches the reference (built along the topo walk)
     ids = cg.op_ids
-    return {ids[i]: int(starts[i]) for i in cg.topo.tolist()}
+    return {ids[i]: starts[i] for i in cg.topo}
 
 
 def fast_asap_latency(graph: DataFlowGraph,
                       delays: Mapping[str, int]) -> int:
-    """Array-based :func:`repro.hls.timing.asap_latency` equivalent."""
+    """Index-based :func:`repro.hls.timing.asap_latency` equivalent."""
     if len(graph) == 0:
         # mirror the reference: max() over an empty schedule
         raise ValueError("max() arg is an empty sequence")
@@ -160,7 +164,7 @@ def fast_alap_starts(graph: DataFlowGraph,
                      latency: int,
                      fixed: Optional[Mapping[str, int]] = None
                      ) -> Dict[str, int]:
-    """Array-based :func:`repro.hls.timing.alap_starts` equivalent."""
+    """Index-based :func:`repro.hls.timing.alap_starts` equivalent."""
     cg = compile_graph(graph)
     if not fixed:
         tail = base_timing(graph, delays).tail
@@ -171,7 +175,7 @@ def fast_alap_starts(graph: DataFlowGraph,
                                   fixed)
     # key order matches the reference (built along the reversed walk)
     ids = cg.op_ids
-    return {ids[i]: int(starts[i]) for i in reversed(cg.topo.tolist())}
+    return {ids[i]: starts[i] for i in reversed(cg.topo)}
 
 
 def fast_time_frames(graph: DataFlowGraph,
@@ -179,7 +183,7 @@ def fast_time_frames(graph: DataFlowGraph,
                      latency: int,
                      fixed: Optional[Mapping[str, int]] = None
                      ) -> Dict[str, Tuple[int, int]]:
-    """Array-based :func:`repro.hls.timing.time_frames` equivalent."""
+    """Index-based :func:`repro.hls.timing.time_frames` equivalent."""
     cg = compile_graph(graph)
     if not fixed:
         timing = base_timing(graph, delays)
@@ -187,32 +191,31 @@ def fast_time_frames(graph: DataFlowGraph,
         alap = [latency - t for t in tail]
         _check_alap(cg, alap, latency)
     else:
-        arr = cg.delays_array(delays)
-        asap = _asap_with_fixed(cg, arr, fixed)
-        alap = _alap_with_fixed(cg, arr, latency, fixed)
+        d = cg.delays_array(delays)
+        asap = _asap_with_fixed(cg, d, fixed)
+        alap = _alap_with_fixed(cg, d, latency, fixed)
     frames: Dict[str, Tuple[int, int]] = {}
     ids = cg.op_ids
-    for i in cg.topo.tolist():  # first empty frame in topo order wins
+    for i in cg.topo:  # first empty frame in topo order wins
         if asap[i] > alap[i]:
             raise SchedulingError(
                 f"operation {ids[i]!r} has an empty time frame "
                 f"[{asap[i]}, {alap[i]}] at latency {latency}")
-        frames[ids[i]] = (int(asap[i]), int(alap[i]))
+        frames[ids[i]] = (asap[i], alap[i])
     return frames
 
 
-def _asap_with_fixed(cg: CompiledGraph, delays: np.ndarray,
+def _asap_with_fixed(cg: CompiledGraph, d: Sequence[int],
                      fixed: Mapping[str, int]) -> List[int]:
     """ASAP honouring fixed placements; reference-identical errors."""
     n = cg.n_ops
     starts = [0] * n
     preds = cg.preds
-    d = delays.tolist()
     fixed_idx: Dict[int, int] = {cg.index[op]: s for op, s in fixed.items()
                                  if op in cg.index}
     violator = None
     rank = cg.topo_rank
-    for i in cg.topo.tolist():
+    for i in cg.topo:
         earliest = 0
         for p in preds[i]:
             finish = starts[p] + d[p]
@@ -234,20 +237,19 @@ def _asap_with_fixed(cg: CompiledGraph, delays: np.ndarray,
     return starts
 
 
-def _alap_with_fixed(cg: CompiledGraph, delays: np.ndarray, latency: int,
+def _alap_with_fixed(cg: CompiledGraph, d: Sequence[int], latency: int,
                      fixed: Mapping[str, int]) -> List[int]:
     """ALAP honouring fixed placements; reference-identical errors."""
     n = cg.n_ops
     starts = [0] * n
     succs = cg.succs
-    d = delays.tolist()
     fixed_idx: Dict[int, int] = {cg.index[op]: s for op, s in fixed.items()
                                  if op in cg.index}
     # the reference walks reversed(topo) and raises at the *first*
     # violation it meets — i.e. the violator with the highest rank
     violator = None
     rank = cg.topo_rank
-    for i in reversed(cg.topo.tolist()):
+    for i in reversed(cg.topo):
         latest = latency
         for s in succs[i]:
             if starts[s] < latest:
@@ -297,7 +299,7 @@ def fast_density_schedule(graph: DataFlowGraph,
                           delays: Mapping[str, int],
                           latency: Optional[int] = None) -> Schedule:
     """Drop-in, schedule-identical :func:`repro.hls.density.
-    density_schedule` over the compiled arrays."""
+    density_schedule` over the compiled graph."""
     if len(graph) == 0:
         raise SchedulingError("cannot schedule an empty graph")
     cg = compile_graph(graph)
@@ -318,7 +320,7 @@ def density_schedule_range(graph: DataFlowGraph,
                            latencies) -> Dict[int, Schedule]:
     """Density schedules at several latency bounds, sharing one base
     timing pass (every bound's frames derive from the same ASAP/tail
-    arrays — the warm start across adjacent bounds)."""
+    lists — the warm start across adjacent bounds)."""
     return {latency: fast_density_schedule(graph, delays, latency)
             for latency in latencies}
 
@@ -361,7 +363,7 @@ def _least_dense_start(row: List[int], lo: int, hi: int, d: int) -> int:
 
 def _tighten(i: int, lo: List[int], hi: List[int], pinned: List[bool],
              d: List[int], latency: int, preds, succs,
-             rank: List[int]) -> Dict[int, Tuple[int, int]]:
+             rank: Sequence[int]) -> Dict[int, Tuple[int, int]]:
     """Propagate the pin of operation *i* through its unpinned
     relatives' frames in place and return ``{op: (old lo, old hi)}``
     for every frame that moved.
@@ -414,8 +416,8 @@ def _solve_density(cg: CompiledGraph, d: List[int], timing: _BaseTiming,
                    latency: int) -> Dict[str, int]:
     """The placement loop; returns start steps in placement order."""
     n = cg.n_ops
-    rank = cg.topo_rank.tolist()
-    rcode = cg.rtype_codes.tolist()
+    rank = cg.topo_rank
+    rcode = cg.rtype_codes
     lo = list(timing.asap)
     hi = [latency - t for t in timing.tail]
     pinned = [False] * n
@@ -466,7 +468,7 @@ def fast_list_schedule(graph: DataFlowGraph, allocation,
                        instance_counts: Mapping[str, int],
                        max_steps: int = 100_000) -> Schedule:
     """Drop-in, schedule-identical :func:`repro.hls.listsched.
-    list_schedule` over the compiled arrays.
+    list_schedule` over the compiled graph.
 
     Same greedy, same ``(-priority, op id)`` ready order, same lane
     budgets — but readiness is event-driven (predecessor counters plus

@@ -141,3 +141,44 @@ class TestPooledCampaign:
         assert simulate_designs([], trials=100) == []
         with pytest.raises(ReproError):
             simulate_designs(self.designs(lib)[:1], trials=0)
+
+
+class TestSeededStreams:
+    """The seeded samplers draw from numpy's ``default_rng``; numpy is
+    imported on first use only, and without it the seeded path refuses
+    rather than quietly switching to a different stream."""
+
+    @pytest.fixture(scope="class")
+    def anchor(self, lib):
+        # the paper's Table 2(a) anchor cell, reliability 0.59998
+        return find_design(fir16(), lib, 10, 9)
+
+    def test_exact_successes_simulate_design(self, anchor):
+        assert simulate_design(anchor, trials=20_000, seed=0).successes \
+            == 11986
+        assert simulate_design(anchor, trials=5_000, seed=11).successes \
+            == 3000
+
+    def test_exact_successes_simulate_designs(self, lib, anchor):
+        designs = [anchor, baseline_design(fir16(), lib, 10, 13)]
+        reports = simulate_designs(designs, trials=5_000, seed=11)
+        assert [r.successes for r in reports] == [3040, 3791]
+        assert simulate_designs([anchor], trials=5_000,
+                                seed=11)[0].successes == 3023
+
+    def test_missing_numpy_refuses_seed_only_path(self, anchor,
+                                                  monkeypatch):
+        import random
+        import sys
+
+        monkeypatch.setitem(sys.modules, "numpy", None)  # blocks import
+        with pytest.raises(ReproError, match="needs numpy"):
+            simulate_design(anchor, trials=100, seed=1)
+        with pytest.raises(ReproError, match="needs numpy"):
+            simulate_designs([anchor], trials=100, seed=1)
+        # an explicit stream selects the stdlib scalar oracle
+        scalar = simulate_design(anchor, trials=500, rng=random.Random(1))
+        assert scalar.trials == 500 and 0 < scalar.successes < 500
+        pooled = simulate_designs([anchor], trials=500,
+                                  rng=random.Random(1))
+        assert pooled[0].successes == scalar.successes

@@ -110,6 +110,49 @@ class TestTimingEquivalence:
             fast_alap_starts(graph, delays, latency)
 
 
+class TestBaseTimingWalk:
+    """The topological-order walk behind :func:`fastsched.base_timing`
+    against the reference ASAP/ALAP passes: ``asap`` is the ASAP
+    start, ``alap(L) = L - tail`` and ``critical`` is the ASAP
+    latency."""
+
+    @staticmethod
+    def check(graph, delays):
+        timing = fastsched.base_timing(graph, delays)
+        ids = list(fastsched.compile_graph(graph).op_ids)
+        critical = asap_latency(graph, delays)
+        assert timing.critical == critical
+        asap = asap_starts(graph, delays)
+        assert timing.asap == [asap[op] for op in ids]
+        for latency in (critical, critical + 3):
+            alap = alap_starts(graph, delays, latency)
+            assert [latency - t for t in timing.tail] == \
+                [alap[op] for op in ids]
+
+    @given(graph_params, st.integers(0, 5_000))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_with_zero_delays(self, params, seed):
+        graph = build(params)
+        rng = random.Random(seed)
+        self.check(graph, {op.op_id: rng.randint(0, 3) for op in graph})
+
+    def test_all_zero_delays(self):
+        graph = random_dag(20, seed=2)
+        self.check(graph, {op.op_id: 0 for op in graph})
+        assert fastsched.base_timing(
+            graph, {op.op_id: 0 for op in graph}).critical == 0
+
+    def test_empty_graph(self):
+        from repro.dfg import DataFlowGraph
+
+        timing = fastsched.base_timing(DataFlowGraph("empty"), {})
+        assert (timing.asap, timing.tail, timing.critical) == ([], [], 0)
+
+    def test_wide_build_size(self):
+        graph = random_dag(800, seed=1)
+        self.check(graph, random_delays(graph, 1))
+
+
 class TestDensityEquivalence:
     @given(graph_params, st.integers(0, 6))
     @settings(max_examples=60, deadline=None)

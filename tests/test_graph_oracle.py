@@ -150,3 +150,63 @@ class TestNoNetworkxAtRuntime:
             "assert 'networkx' not in sys.modules\n")
         assert proc.returncode == 0, proc.stderr
         assert "reliability : 0.59998" in proc.stdout
+
+
+class TestStdlibColdStart:
+    """A local synthesis runs on the standard library alone: numpy is
+    needed only by Monte Carlo, and the cache service tier and the
+    process pool load only when a run asks for them."""
+
+    #: modules a local ``synth`` must never import
+    OPTIONAL = ("numpy", "multiprocessing", "concurrent.futures",
+                "repro.parallel", "repro.core.cache_server",
+                "repro.core.shard", "repro.core.wire")
+
+    @staticmethod
+    def _synth(*args):
+        """Run ``repro synth fir -l 10 -a 9 ARGS`` in a fresh
+        interpreter; its last stdout line lists the loaded OPTIONAL
+        modules."""
+        code = (
+            "import runpy, sys\n"
+            f"sys.argv = ['repro', 'synth', 'fir', '-l', '10', '-a', '9',"
+            f" *{list(args)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            f"print([m for m in {TestStdlibColdStart.OPTIONAL!r}"
+            " if m in sys.modules])\n")
+        proc = TestNoNetworkxAtRuntime._run(code)
+        assert proc.returncode == 0, proc.stderr
+        assert "reliability : 0.59998" in proc.stdout
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_cold_synth_loads_no_optional_module(self):
+        assert self._synth() == "[]"
+
+    def test_cache_dir_synth_loads_no_optional_module(self, tmp_path):
+        cache_dir = str(tmp_path)
+        assert self._synth("--cache-dir", cache_dir) == "[]"
+        # the warm run loads the snapshot it just wrote
+        assert os.path.exists(os.path.join(cache_dir, "engine-cache.bin"))
+        assert self._synth("--cache-dir", cache_dir) == "[]"
+
+    def test_cache_server_auto_loads_the_service_tier(self):
+        loaded = self._synth("--cache-server", "auto")
+        assert "repro.core.cache_server" in loaded
+        assert "repro.core.wire" in loaded
+
+    def test_every_core_export_resolves(self):
+        proc = TestNoNetworkxAtRuntime._run(
+            "import repro.core as core\n"
+            "missing = [n for n in core.__all__ if not hasattr(core, n)]\n"
+            "assert not missing, missing\n"
+            "namespace = {}\n"
+            "exec('from repro.core import *', namespace)\n"
+            "assert set(core.__all__) <= set(namespace)\n"
+            "from repro.core import CacheClient, cache_server\n"
+            "assert CacheClient is cache_server.CacheClient\n"
+            "assert core.synthesize_remote is \\\n"
+            "    cache_server.synthesize_remote\n")
+        assert proc.returncode == 0, proc.stderr
